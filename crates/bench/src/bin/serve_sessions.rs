@@ -1,7 +1,7 @@
 //! `serve_sessions` — sessions as the unit of serving: the continuous-
 //! batching sweep.
 //!
-//! Two tables over the session engine:
+//! Two tables over multi-iteration sessions:
 //!
 //! 1. **Session length × state budget** (FIFO, round-robin, Poisson) on
 //!    an accelerator pair: how streaming latency (TTFT/TBT) and the

@@ -375,6 +375,7 @@ impl SloClass {
     /// deadline (time-to-first-token covers queueing and prefill); every
     /// later iteration only decodes against resident state, so its
     /// time-between-tokens budget is a tenth of the class deadline.
+    #[inline]
     pub fn streaming_budgets(&self) -> StreamingBudget {
         StreamingBudget { ttft_ns: self.deadline_ns(), tbt_ns: self.deadline_ns() / 10 }
     }
@@ -443,6 +444,7 @@ impl SessionProfile {
 
     /// Iterations session `id` runs under generator seed `seed`: uniform
     /// in `[min_len, max_len]` from its own salted hash stream.
+    #[inline]
     pub fn session_len(&self, seed: u64, id: u64) -> u32 {
         let lo = self.min_len.max(1);
         if self.max_len <= lo {
@@ -458,6 +460,7 @@ impl SessionProfile {
     /// drawn from its own salted stream (the same inverse-CDF scheme the
     /// load generator uses for Poisson gaps). Iteration 0 has no think
     /// time by construction; a zero mean disables it for all iterations.
+    #[inline]
     pub fn think_ns(&self, seed: u64, id: u64, iter: u32) -> u64 {
         if self.think_mean_us == 0 || iter == 0 {
             return 0;

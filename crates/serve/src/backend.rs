@@ -649,7 +649,7 @@ impl BackendKind {
     }
 
     /// Builds one backend per kind — a (possibly heterogeneous) fleet for
-    /// `ServeRuntime::run_fleet`, one shard per entry.
+    /// `ServeSpec::fleet`, one shard per entry.
     pub fn build_fleet(kinds: &[BackendKind]) -> Vec<std::sync::Arc<dyn Backend>> {
         kinds.iter().map(|k| k.build()).collect()
     }

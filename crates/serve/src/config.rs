@@ -16,8 +16,8 @@ use defa_model::workload::SessionProfile;
 /// per-epoch timeline in [`crate::ServeReport`] exists for every run —
 /// but only a non-[`ControllerKind::NoOp`] controller actually *acts* on
 /// the boundaries. `max_shards` is the fleet ceiling an autoscaler may
-/// grow into; the fleet passed to `run_fleet` (or cloned by `run`) must
-/// cover it, and shards beyond [`ServeConfig::shards`] start inactive.
+/// grow into; the fleet of a `ServeSpec` must cover it, and shards
+/// beyond [`ServeConfig::shards`] start inactive.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControlConfig {
     /// Control-epoch length in virtual microseconds.
@@ -51,11 +51,10 @@ impl ControlConfig {
 /// state budget (the KV-cache analogue) and the batching discipline.
 ///
 /// The default — [`SessionProfile::ONE_SHOT`], unlimited budget,
-/// continuous batching — keeps every request a single-iteration session
-/// and routes the run through the legacy one-shot engine, byte-identical
-/// to every pre-session pin. Only a multi-iteration profile
-/// ([`SessionConfig::enabled`]) engages the iteration-level session
-/// engine; `state_budget` and `gang` are inert for one-shot profiles.
+/// continuous batching — keeps every request a single-iteration session,
+/// byte-identical to every pre-session pin. Only a multi-iteration
+/// profile ([`SessionConfig::enabled`]) ever holds session state between
+/// iterations; `state_budget` and `gang` are inert for one-shot profiles.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionConfig {
     /// Seeded session-length / think-time distributions. Request `id`
@@ -81,12 +80,12 @@ impl Default for SessionConfig {
 }
 
 impl SessionConfig {
-    /// Whether this configuration engages the session engine: only a
-    /// multi-iteration profile does. One-shot profiles always run the
-    /// legacy engine regardless of `state_budget`/`gang` (a session of
-    /// length 1 holds no state between iterations, so both knobs are
-    /// vacuous), which is what pins `session_len = 1` byte-identical to
-    /// the pre-session runtime.
+    /// Whether sessions can outlive their prefill: only a multi-iteration
+    /// profile does. Such runs settle each batch at dispatch and apply
+    /// `state_budget`/`gang`; one-shot profiles ignore both knobs (a
+    /// session of length 1 holds no state between iterations, so they are
+    /// vacuous) and keep the pipelined settle, which is what pins
+    /// `session_len = 1` byte-identical to the pre-session runtime.
     pub fn enabled(&self) -> bool {
         !self.profile.is_one_shot()
     }
@@ -112,6 +111,8 @@ pub struct ServeConfig {
     /// Maximum requests coalesced into one batch.
     pub max_batch: usize,
     /// Oldest-request age (virtual µs) that forces a partial batch out.
+    /// Shapes one-shot batches only: multi-iteration runs batch at
+    /// iteration level and dispatch as soon as a shard is free.
     pub batch_deadline_us: u64,
     /// Fixed per-batch dispatch overhead (virtual µs) — the cost batching
     /// amortizes.
@@ -144,7 +145,7 @@ pub struct ServeConfig {
     /// zero-overhead path every pre-observability pin runs on.
     pub obs: ObsConfig,
     /// Session shapes, per-shard state budget and batching discipline.
-    /// Defaults to one-shot sessions — the legacy engine path.
+    /// Defaults to one-shot sessions.
     pub sessions: SessionConfig,
 }
 
@@ -304,13 +305,6 @@ impl ServeConfig {
                     self.sessions.profile.max_len, self.sessions.profile.min_len
                 ),
             );
-        }
-        if self.sessions.enabled() && !matches!(self.control.controller, ControllerKind::NoOp) {
-            return Err(ServeError::InvalidConfig(format!(
-                "session serving does not yet support fleet controllers (controller {:?} with a \
-                 multi-iteration session profile); use ControllerKind::NoOp",
-                self.control.controller
-            )));
         }
         if self.control.max_shards != 0 && self.control.max_shards < self.shards {
             return Err(ServeError::InvalidConfig(format!(
@@ -484,27 +478,27 @@ mod tests {
     }
 
     #[test]
-    fn session_configs_gate_the_engine_and_reject_controllers() {
-        // The default is one-shot: the legacy engine, knobs inert.
+    fn session_configs_gate_session_state_and_accept_controllers() {
+        // The default is one-shot: no session ever holds state, knobs inert.
         let base = ServeConfig::at_load(1.0, 1);
         assert!(!base.sessions.enabled());
         assert!(base.validate().is_ok());
-        // state_budget / gang on a one-shot profile stay on the legacy
-        // path (and validate — they are vacuous, not wrong).
+        // state_budget / gang on a one-shot profile validate — they are
+        // vacuous, not wrong.
         let inert = ServeConfig {
             sessions: SessionConfig { state_budget: 2, gang: true, ..SessionConfig::default() },
             ..base.clone()
         };
         assert!(!inert.sessions.enabled());
         assert!(inert.validate().is_ok());
-        // A multi-iteration profile engages the session engine…
+        // A multi-iteration profile engages session state…
         let multi = SessionConfig {
             profile: SessionProfile { min_len: 1, max_len: 4, think_mean_us: 100 },
             ..SessionConfig::default()
         };
         assert!(multi.enabled());
         assert!(ServeConfig { sessions: multi.clone(), ..base.clone() }.validate().is_ok());
-        // …and refuses non-NoOp fleet controllers for now.
+        // …and runs under fleet controllers like any other profile.
         let controlled = ServeConfig {
             sessions: multi,
             control: ControlConfig {
@@ -514,7 +508,7 @@ mod tests {
             },
             ..base
         };
-        assert!(matches!(controlled.validate(), Err(ServeError::InvalidConfig(_))));
+        assert!(controlled.validate().is_ok());
     }
 
     #[test]

@@ -29,6 +29,7 @@ use crate::backend::{Backend, BackendOutput};
 use crate::control::DvfsPoint;
 use crate::energy::EnergyBreakdown;
 use crate::error::ServeError;
+use crate::router::ShardView;
 use defa_model::workload::RequestGenerator;
 
 /// One backend's full pricing surface: modeled cost, energy and idle
@@ -140,6 +141,94 @@ impl CostTable {
     /// [`Backend::estimate_energy_pj`] returns live.
     pub fn nominal_energy_row(&self) -> &[u128] {
         &self.energy_pj[..self.n_scenarios]
+    }
+}
+
+/// Per-scenario and per-shard scheduling/routing estimates, computed once
+/// per run from the backends' analytic models.
+pub(crate) struct Estimates {
+    /// Fleet-mean service-time estimate per scenario (what queued
+    /// requests carry for SJF).
+    pub(crate) scenario_cost_ns: Vec<u64>,
+    /// Per-shard rating of one full batch: the dispatch overhead plus
+    /// `max_batch` scenario-mean prefills (what routers see).
+    pub(crate) shard_batch_ns: Vec<u64>,
+    /// Scenario-mean energy estimate per shard (what routers see).
+    pub(crate) shard_energy_pj: Vec<u128>,
+    /// Scenario-mean prefill-phase estimate per shard
+    /// ([`Backend::estimate_prefill_ns`]) — the phase split routers see.
+    pub(crate) shard_prefill_ns: Vec<u64>,
+    /// Scenario-mean decode-step estimate per shard
+    /// ([`Backend::estimate_decode_ns`]).
+    pub(crate) shard_decode_ns: Vec<u64>,
+}
+
+impl Estimates {
+    /// Folds the fleet's memoized nominal pricing rows into the
+    /// per-scenario and per-shard means the policies consume. Nominal
+    /// table rows are exactly the live estimator outputs, so these are
+    /// the same integers as folding the estimators directly — including
+    /// the phase split, whose trait contract defines prefill as the full
+    /// nominal cost and one decode step as `1/DECODE_COST_DIV` of it
+    /// (floored at 1 ns). Folding rows instead of calling the live
+    /// estimators keeps backend model evaluation out of the serve path.
+    pub(crate) fn from_tables(tables: &[CostTable], overhead_ns: u64, max_batch: usize) -> Self {
+        let n_scen = tables[0].scenarios();
+        let scenario_cost_ns = (0..n_scen)
+            .map(|s| {
+                let sum: u128 = tables.iter().map(|t| t.nominal_cost_row()[s] as u128).sum();
+                (sum / tables.len() as u128) as u64
+            })
+            .collect();
+        let shard_energy_pj = tables
+            .iter()
+            .map(|t| t.nominal_energy_row().iter().sum::<u128>() / n_scen as u128)
+            .collect();
+        let mut shard_prefill_ns = Vec::with_capacity(tables.len());
+        let mut shard_decode_ns = Vec::with_capacity(tables.len());
+        for t in tables {
+            let mut prefill: u128 = 0;
+            let mut decode: u128 = 0;
+            for &cost in t.nominal_cost_row() {
+                prefill += cost as u128;
+                decode += (cost / crate::backend::DECODE_COST_DIV).max(1) as u128;
+            }
+            shard_prefill_ns.push((prefill / n_scen.max(1) as u128) as u64);
+            shard_decode_ns.push((decode / n_scen.max(1) as u128) as u64);
+        }
+        let shard_batch_ns = shard_prefill_ns
+            .iter()
+            .map(|&p| overhead_ns.saturating_add(p.saturating_mul(max_batch as u64)))
+            .collect();
+        Estimates {
+            scenario_cost_ns,
+            shard_batch_ns,
+            shard_energy_pj,
+            shard_prefill_ns,
+            shard_decode_ns,
+        }
+    }
+
+    /// Rebuilds the routable shard views — one per *active* shard, in
+    /// shard order — into the reused `views` buffer.
+    #[inline(always)]
+    pub(crate) fn fill_views(
+        &self,
+        views: &mut Vec<ShardView>,
+        active: &[bool],
+        shard_free: &[u64],
+    ) {
+        views.clear();
+        for (shard, _) in active.iter().enumerate().filter(|(_, a)| **a) {
+            views.push(ShardView {
+                shard,
+                free_ns: shard_free[shard],
+                est_batch_ns: self.shard_batch_ns[shard],
+                est_energy_pj: self.shard_energy_pj[shard],
+                est_prefill_ns: self.shard_prefill_ns[shard],
+                est_decode_ns: self.shard_decode_ns[shard],
+            });
+        }
     }
 }
 

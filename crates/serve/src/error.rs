@@ -24,7 +24,7 @@ pub enum ServeError {
         /// The rejected value, with the constraint it violated.
         got: String,
     },
-    /// The fleet handed to `run_fleet` does not match the configuration.
+    /// The fleet of a `ServeSpec` does not match the configuration.
     FleetMismatch {
         /// Backends in the fleet.
         fleet: usize,
@@ -33,6 +33,17 @@ pub enum ServeError {
     },
     /// A worker shard died before delivering its batch.
     WorkerLost(String),
+    /// The engine's conservation check failed: not every arrival was
+    /// served or shed exactly once. Always an engine bug, reported as an
+    /// error instead of a panic so release builds check it too.
+    Conservation {
+        /// Sessions served to completion.
+        completed: u64,
+        /// Requests shed by admission.
+        dropped: u64,
+        /// Requests the trace offered.
+        arrivals: u64,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -51,6 +62,11 @@ impl fmt::Display for ServeError {
                  pass exactly one backend per shard"
             ),
             ServeError::WorkerLost(msg) => write!(f, "worker shard lost: {msg}"),
+            ServeError::Conservation { completed, dropped, arrivals } => write!(
+                f,
+                "engine lost requests: {completed} completed + {dropped} dropped != {arrivals} \
+                 arrivals"
+            ),
         }
     }
 }
@@ -64,7 +80,8 @@ impl Error for ServeError {
             ServeError::InvalidConfig(_)
             | ServeError::DegenerateConfig { .. }
             | ServeError::FleetMismatch { .. }
-            | ServeError::WorkerLost(_) => None,
+            | ServeError::WorkerLost(_)
+            | ServeError::Conservation { .. } => None,
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The typed discrete-event list driving the serving engine.
 //!
-//! One `run_fleet` call owns exactly one [`EventList`] holding every
+//! One `serve` call owns exactly one [`EventList`] holding every
 //! *pending* virtual-time event, in three classes ([`EventClass`]):
 //!
 //! * **Epoch boundary** — the next control-loop boundary. Exactly one is
@@ -59,8 +59,8 @@ pub enum EventClass {
     /// ready on its resident shard. Settles after the shard-free event at
     /// the same instant (the freeing batch is what made the iteration
     /// ready), so a decode never jumps ahead of the settle that produced
-    /// its previous token. Used by the session engine's per-shard ready
-    /// sets; the legacy one-shot engine never emits it.
+    /// its previous token. Held in the engine's per-shard ready sets
+    /// rather than this list; one-shot runs never produce it.
     SessionReady,
 }
 

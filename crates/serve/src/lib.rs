@@ -7,10 +7,11 @@
 //! serving is the **session**: a seeded sequence of iterations — one
 //! *prefill* (the full detection query) followed by cheaper *decode*
 //! steps separated by seeded think times
-//! ([`defa_model::workload::SessionProfile`]). A legacy one-shot request
-//! is exactly a session of length 1, and the default configuration
-//! ([`config::SessionConfig`] at `SessionProfile::ONE_SHOT`) runs the
-//! pre-session engine byte-for-byte.
+//! ([`defa_model::workload::SessionProfile`]). A one-shot request is
+//! exactly a session of length 1, and one event loop serves every
+//! profile: the default configuration ([`config::SessionConfig`] at
+//! `SessionProfile::ONE_SHOT`) reproduces the pre-session engine
+//! byte-for-byte.
 //!
 //! ```text
 //!  ArrivalProcess ──> AdmissionQueue ──> Scheduler ──> Router ──> shard 0 ──┐
@@ -24,9 +25,9 @@
 //!                                                  per-shard state budget)
 //! ```
 //!
-//! With sessions enabled the engine batches at **iteration level**
+//! Multi-iteration sessions are batched at **iteration level**
 //! (continuous batching): each settled iteration immediately frees its
-//! batch slot, due decode steps rejoin their resident shard's next batch
+//! batch slot, due decode steps lead their resident shard's next batch
 //! ahead of new prefills, and a per-shard *state budget*
 //! ([`config::SessionConfig::state_budget`] — the KV-cache analogue)
 //! bounds resident sessions, forcing deterministic least-recently-settled
@@ -37,7 +38,9 @@
 //! and time-between-tokens histograms against per-class
 //! [`defa_model::workload::StreamingBudget`]s. Setting
 //! `SessionConfig::gang` schedules each session as one gang instead — the
-//! baseline continuous batching is measured against.
+//! baseline continuous batching is measured against. Sessions share the
+//! control loop, DVFS re-pricing, worker-pool execution and
+//! observability probes with one-shot serving.
 //!
 //! Every layer is a policy behind a trait, configured per [`ServeConfig`]
 //! and driven through one typed entry point,
@@ -123,6 +126,7 @@
 //! # }
 //! ```
 
+mod accounting;
 pub mod admission;
 pub mod backend;
 pub mod config;
@@ -138,6 +142,7 @@ pub mod report;
 pub mod router;
 pub mod runtime;
 pub mod scheduler;
+mod sessions;
 
 pub use admission::{Admission, AdmissionQueue, DropPolicy, QueuedRequest};
 pub use backend::{Backend, BackendKind, BackendOutput, ReplayBackend, DECODE_COST_DIV};

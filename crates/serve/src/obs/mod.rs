@@ -233,14 +233,14 @@ struct MetricIds {
     active_shards: GaugeId,
     clock_mhz: GaugeId,
     batch_occupancy: HistId,
-    /// Session-engine counters; `None` under the legacy one-shot engine
-    /// so its registry (and every obs pin) keeps the exact pre-session
-    /// metric set.
+    /// Session counters; `None` under a one-shot profile so its
+    /// registry (and every obs pin) keeps the exact pre-session metric
+    /// set.
     iterations: Option<CounterId>,
     evictions: Option<CounterId>,
 }
 
-/// The live observability collector threaded through one `run_fleet`
+/// The live observability collector threaded through one `serve`
 /// call. Every hook is `#[inline]` and bails on a single boolean when
 /// the corresponding pillar is off.
 #[derive(Debug)]
@@ -261,10 +261,9 @@ pub(crate) struct Obs {
 impl Obs {
     /// A collector for one run: `seed` is the generator seed (the
     /// sampler salts it), `fleet_size` the full fleet including
-    /// autoscaling headroom. `sessions` registers the session-engine
-    /// counters (iterations, evictions); the legacy engine passes
-    /// `false` so its metric set — and every obs pin on it — is
-    /// unchanged.
+    /// autoscaling headroom. `sessions` registers the session counters
+    /// (iterations, evictions); one-shot runs pass `false` so their
+    /// metric set — and every obs pin on it — is unchanged.
     pub(crate) fn new(config: &ObsConfig, seed: u64, fleet_size: usize, sessions: bool) -> Self {
         let metrics = config.metrics.then(|| {
             let mut reg = MetricsRegistry::new(config.metrics_buffer);
@@ -465,9 +464,10 @@ impl Obs {
         }
     }
 
-    /// One session iteration settled (prefill or decode step). Session
-    /// engine only — the legacy engine's single iteration is already
-    /// accounted by [`Self::on_settle`].
+    /// One session iteration settled (prefill or decode step). Counted
+    /// only when the session counters are registered — a one-shot
+    /// request's single iteration is already accounted by
+    /// [`Self::on_settle`].
     #[inline]
     pub(crate) fn on_iteration(&mut self) {
         if let Some((reg, ids)) = &mut self.metrics {

@@ -188,22 +188,22 @@ pub struct ServeReport {
     /// Requests dropped by backpressure.
     pub dropped: u64,
     /// Completed requests whose total latency exceeded their SLO budget.
-    /// Under the session engine a session violates when its TTFT or any
-    /// TBT blows the class streaming budget.
+    /// A multi-iteration session violates when its TTFT or any TBT blows
+    /// the class streaming budget.
     pub slo_violations: u64,
     /// Iterations settled (prefill + decode steps). Equals `completed`
-    /// under the legacy one-shot engine, where every request is a
+    /// under a one-shot profile, where every request is a
     /// single-iteration session.
     pub iterations: u64,
     /// Session evictions forced by the per-shard state budget (each
     /// eviction prices a prefill recompute into the session's next
-    /// decode step). Always 0 under the legacy one-shot engine.
+    /// decode step). Always 0 under a one-shot profile.
     pub evictions: u64,
     /// Completed sessions whose time-to-first-token exceeded the class
     /// streaming budget ([`SloClass::streaming_budgets`]).
     pub ttft_violations: u64,
     /// Decode iterations whose time-between-tokens exceeded the class
-    /// streaming budget. Always 0 under the legacy one-shot engine.
+    /// streaming budget. Always 0 under a one-shot profile.
     pub tbt_violations: u64,
     /// Batches dispatched.
     pub batches: u64,
@@ -218,12 +218,12 @@ pub struct ServeReport {
     /// included.
     pub total: LatencyHistogram,
     /// Time to first token per completed session: first-iteration settle
-    /// minus arrival. Under the legacy one-shot engine every request is
-    /// a single-iteration session, so this equals `total`.
+    /// minus arrival. Under a one-shot profile every request is a
+    /// single-iteration session, so this equals `total`.
     pub ttft: LatencyHistogram,
     /// Time between tokens per decode iteration: settle minus the
     /// instant the iteration became ready (think time elapsed). Empty
-    /// under the legacy one-shot engine.
+    /// under a one-shot profile.
     pub tbt: LatencyHistogram,
     /// Virtual time at which the last batch finished.
     pub makespan_ns: u64,

@@ -1,112 +1,100 @@
-//! The serving runtime: the discrete-event virtual-time engine that
-//! composes the policy layers.
+//! The serving runtime: one discrete-event virtual-time engine that
+//! composes the policy layers and serves sessions at iteration level.
 //!
 //! # Execution model
 //!
-//! The runtime separates *what* is computed from *when* it is deemed to
-//! happen:
+//! *What* is computed is separate from *when* it is deemed to happen.
+//! Every admitted prefill is materialized from the seeded
+//! [`RequestGenerator`] and run by its shard's backend on a long-lived
+//! [`WorkerPool`] worker (whose thread-local GEMM scratch arenas act as
+//! per-shard arenas); payload-free backends ([`Backend::payload_free`])
+//! run inline on the accounting thread instead, which is what makes
+//! 10M-request traces feasible in seconds. Decode steps derive from their
+//! session's settled prefill ([`Backend::decode_output`]). Timing comes
+//! from an integer virtual clock driven by the seeded load generator and
+//! the backends' deterministic cost models, never the wall clock, so the
+//! full [`ServeReport`] is byte-identical for any `RAYON_NUM_THREADS`.
 //!
-//! * **Real execution** — every admitted request is materialized from the
-//!   seeded [`RequestGenerator`] and evaluated by its shard's backend on a
-//!   long-lived [`WorkerPool`] worker. Requests are independent, so
-//!   per-request results are bit-identical regardless of batch
-//!   composition, shard count or thread count. Pool workers are
-//!   persistent threads, so the thread-local [`defa_tensor::Scratch`]
-//!   arenas inside the GEMM kernels act as per-shard arenas: after the
-//!   first batch warms the high-water mark, steady-state serving performs
-//!   no packing allocations. Payload-free backends
-//!   ([`Backend::payload_free`], e.g. [`crate::backend::ReplayBackend`])
-//!   skip materialization *and* the pool round-trip entirely: their
-//!   batches execute inline on the accounting thread, which is what makes
-//!   10M-request traces feasible in seconds.
-//!
-//! * **Virtual-time accounting** — arrivals, queueing, batching triggers
-//!   and service times are tracked on an integer virtual clock driven by
-//!   the seeded load generator and the backends' deterministic cost
-//!   models. Latency numbers therefore never observe wall-clock jitter:
-//!   the full [`ServeReport`] — digest, histogram buckets, quantiles,
-//!   timeline — is byte-identical for any `RAYON_NUM_THREADS`, pinned by
-//!   `tests/tests/serving.rs`.
-//!
-//! # The event loop
+//! Request `id` is the *prefill* of session `id`, whose length and think
+//! times are pure functions of `(seed, id)`
+//! ([`defa_model::workload::SessionProfile`]); each settled iteration
+//! schedules the session's next decode step on its resident shard. A
+//! one-shot request is a session of length 1: it completes with its
+//! prefill and never holds state, so under the default one-shot profile
+//! the session sets stay empty and the loop replays the pipelined
+//! one-shot engine decision-for-decision.
 //!
 //! The loop is driven by a typed event list ([`crate::events`]): one
-//! pending epoch-boundary event, one pending arrival (the head of the
-//! lazy [`crate::loadgen::ArrivalIter`] — the trace is never
-//! materialized), and a binary heap of per-shard free events. Live state
-//! is therefore bounded by *in-flight* work — the admission queue, one
-//! batch per shard, and a small settle-reorder window — never by the
-//! trace length:
+//! pending epoch boundary, one pending arrival (the head of the lazy
+//! [`crate::loadgen::ArrivalIter`]) and a heap of per-shard free events,
+//! plus per-shard ready sets of pending decode steps. Live state is
+//! bounded by in-flight work — the admission queue, one batch per shard,
+//! the live sessions and a small settle-reorder window — never by the
+//! trace length; outcomes stream into the histograms, fixed-point energy
+//! accumulators and the id-ordered digest as they settle.
 //!
-//! * **Arrivals** stream from the pull iterator one at a time; consuming
-//!   the cursor pulls the next.
-//! * **Outcomes** stream into the log2 latency histograms, fixed-point
-//!   energy accumulators and the id-ordered FNV digest as they settle; a
-//!   reorder window no deeper than the scheduler's fairness bound puts
-//!   out-of-order settles back in id order. Per-request
-//!   [`RequestOutcome`] records are an opt-in debug capture of the first
-//!   [`crate::config::ServeConfig::outcome_capture`] requests.
-//! * **Epoch boundaries** are scheduled events. Across an idle gap with a
-//!   quiescent controller ([`Controller::quiescent`]) the loop
-//!   fast-forwards the boundary cursor in O(1) instead of stepping every
-//!   boundary — a multi-second silent trace segment costs one skip, not
-//!   O(idle-epochs) controller calls. Peak live state and the
-//!   stepped/skipped split are reported in [`crate::report::LiveStats`].
+//! # Timing rules
 //!
-//! # The policy layers
+//! Each turn of the loop forms one batch on one shard. The decision time
+//! is the earlier of the earliest due decode step over the fleet (at
+//! `max(ready, shard free)`; it wins ties and stays on its resident
+//! shard) and the earliest prefill opportunity (pending work, no sooner
+//! than the earliest active shard frees; the router picks the shard).
 //!
-//! Each decision the loop takes is delegated to a layer behind a trait,
-//! configured per [`ServeConfig`]:
+//! * **Iteration level** — a batch with decode steps, and every batch of
+//!   a multi-iteration run, dispatches at once: the shard's due steps
+//!   ride first in `(ready, id)` order and the scheduler fills the
+//!   remaining slots with queued prefills
+//!   ([`crate::scheduler::Scheduler::admit_into`]), but never before a
+//!   member prefill's arrival. No batching window applies, because it
+//!   would stall the shard's resident sessions.
+//! * **Batching window** — a one-shot batch launches when
+//!   [`ServeConfig::max_batch`] requests are waiting or the oldest waiting
+//!   request has aged past [`ServeConfig::batch_deadline_us`].
 //!
-//! ```text
-//!  ArrivalProcess ─> AdmissionQueue ─> Scheduler ─> Router ─> fleet ─> report
-//!  (when requests    (who may wait;    (who rides   (which     (which
-//!   arrive)           who is dropped)   the batch)   shard)     backend)
-//! ```
+//! Every batch serves sequentially after a fixed dispatch overhead. With
+//! a per-shard state budget ([`crate::config::SessionConfig`]) a batch
+//! holds at most `state_budget` sessions, and making room evicts the
+//! least-recently-settled residents not riding it; their next step pays
+//! a priced prefill recompute. Gang mode instead runs a session's decode
+//! steps and think times inside its prefill's slot.
 //!
-//! The loop itself owns only the *timing* rules, identical for every
-//! policy: a batch launches when [`ServeConfig::max_batch`] requests are
-//! waiting or the oldest waiting request has aged past
-//! [`ServeConfig::batch_deadline_us`]; the chosen shard serves it
-//! sequentially after a fixed dispatch overhead. With the default
-//! policies (Poisson, tail drop, FIFO, round-robin) the loop replays the
-//! PR 2 runtime decision-for-decision — the byte-compat test pins it.
+//! Multi-iteration runs settle each batch at dispatch, because the next
+//! step's readiness depends on it. One-shot runs keep the pipelined
+//! settle: routers that read shard backlogs
+//! ([`crate::router::Router::needs_fleet_state`]) settle every in-flight
+//! batch before routing, stateless ones settle only the chosen shard and
+//! keep one batch in flight per shard.
 //!
 //! # The control loop
 //!
-//! On top of the per-batch policies sits the per-epoch control loop
-//! ([`crate::control`]): virtual time is divided into
-//! [`crate::config::ControlConfig::epoch_us`] epochs, and before each
-//! routing decision the loop settles every boundary the decision time has
-//! crossed — handing the [`Controller`] a [`FleetView`] of the epoch that
-//! ended and applying its actions (activate a shard, drain a shard, step
-//! the DVFS clock) before any further batch forms. Draining is
-//! *drain-before-stop*: a drained shard takes no new batches but its
-//! in-flight batch settles through the normal path, so conservation and
-//! byte-determinism survive every resize. Batches carry the clock they
-//! were dispatched at; settling re-prices their latency and energy
-//! through [`Backend::reprice`], which is exactly the identity at the
-//! nominal point — a [`crate::control::NoOpController`] run is
-//! byte-identical to PR 4 (`tests/tests/control.rs` pins it against the
-//! same digests as `tests/tests/serving.rs`).
+//! Before each batch forms, the loop settles every epoch boundary the
+//! decision time has crossed: the [`Controller`] sees a [`FleetView`] of
+//! the ended epoch and may activate a shard, drain one, or step the DVFS
+//! clock. Across an idle gap with a quiescent controller
+//! ([`Controller::quiescent`]) the boundaries fast-forward in O(1). A
+//! drained shard takes no new prefills, but its in-flight batch settles
+//! and its resident sessions finish there (drain-before-stop). Settling
+//! re-prices prefills, decode steps and recomputes for the clock their
+//! batch dispatched at through [`Backend::reprice`], the exact identity at
+//! the nominal point — a [`crate::control::NoOpController`] run is
+//! byte-identical to an uncontrolled one.
 
+use crate::accounting::{EpochFleetState, EpochWindow, OutcomeLedger, TimelineAcc, Totals};
 use crate::admission::{Admission, AdmissionQueue, QueuedRequest};
-use crate::backend::{Backend, BackendOutput};
+use crate::backend::{fnv_fold, Backend, BackendOutput, FNV_OFFSET};
 use crate::config::ServeConfig;
 use crate::control::{ControlAction, Controller, DvfsPoint, FleetView};
-use crate::cost::CostTable;
-use crate::energy::EnergyBreakdown;
+use crate::cost::{CostTable, Estimates};
 use crate::events::EventList;
-use crate::histogram::LatencyHistogram;
 use crate::loadgen::ArrivalIter;
 use crate::obs::{Obs, ProfSection};
-use crate::report::{EpochStat, LiveStats, RequestOutcome, ServeReport};
+use crate::report::{LiveStats, RequestOutcome, ServeReport};
 use crate::router::ShardView;
+use crate::sessions::{SessionLive, SessionTally, Sessions};
 use crate::ServeError;
-use defa_model::workload::{RequestGenerator, SloClass};
+use defa_model::workload::RequestGenerator;
 use defa_parallel::WorkerPool;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt::Write as _;
 use std::sync::{mpsc, Arc};
 
 /// Salt applied to the generator seed for the arrival-time stream, so load
@@ -116,7 +104,7 @@ const ARRIVAL_SALT: u64 = 0x5E54_1A7E_57A6_0001;
 /// Digest marker mixed in for dropped requests.
 const DROP_MARK: u64 = 0xD20D_D20D_D20D_D20D;
 
-/// Where a batch's real results come from: a worker-pool channel for
+/// Where a batch's prefill results come from: a worker-pool channel for
 /// backends that need materialized payloads, or the already-computed
 /// vector for payload-free backends executed inline.
 enum BatchResults {
@@ -125,271 +113,31 @@ enum BatchResults {
 }
 
 /// A batch handed to a shard: its virtual start, the clock it dispatched
-/// at, plus where its real results arrive.
+/// at, its decode steps and prefills, plus where the prefills' real
+/// results arrive.
 struct Inflight {
     start_ns: u64,
     batch: u64,
     clock: DvfsPoint,
+    /// Decode steps as `(ready_ns, session id)`, settled first in this
+    /// order (empty under one-shot profiles).
+    decodes: Vec<(u64, u64)>,
     members: Vec<QueuedRequest>,
     results: BatchResults,
 }
 
-/// Streams settled outcomes into the id-ordered FNV digest without
-/// holding them all.
-///
-/// Settles arrive out of id order (pipelined shards, non-FIFO
-/// schedulers), but the digest folds in id order, so a small reorder
-/// window buffers outcomes until the id watermark (`base`) reaches them.
-/// The window depth is bounded by how far the scheduler lets a request
-/// fall behind its successors — the fairness bound — not by the trace
-/// length; its high-water mark is reported as
-/// [`LiveStats::peak_reorder`].
-///
-/// The window holds only the 8-byte *digest word* per pending request
-/// (the response digest, or [`DROP_MARK`] for drops) — never the full
-/// [`RequestOutcome`]. At trace scale the window runs hundreds of
-/// entries deep, so keeping it to a `u64` ring instead of ~120-byte
-/// outcome records is a measured hot-path win (the settle section of
-/// the self-profile); the fold order and `peak_window` accounting are
-/// unchanged. The opt-in debug capture of the first `capture_cap`
-/// outcomes (by id) is collected out of settle order on the side and
-/// sorted once at `finish` — ids are unique, so the sorted capture is
-/// byte-identical to the fold-order capture it replaced.
-struct OutcomeLedger {
-    digest: u64,
-    /// All outcomes with id < base are folded into `digest`.
-    base: u64,
-    /// Pending digest words for ids `base..base + window.len()`.
-    window: VecDeque<Option<u64>>,
-    captured: Vec<(u64, RequestOutcome)>,
-    capture_cap: u64,
-    peak_window: usize,
-}
-
-impl OutcomeLedger {
-    fn new(capture_cap: usize) -> Self {
-        OutcomeLedger {
-            digest: crate::backend::FNV_OFFSET,
-            base: 0,
-            window: VecDeque::new(),
-            captured: Vec::new(),
-            capture_cap: capture_cap as u64,
-            peak_window: 0,
-        }
-    }
-
-    /// Whether request `id` falls in the opt-in debug capture; callers
-    /// only materialize a [`RequestOutcome`] when it does.
-    #[inline(always)]
-    fn captures(&self, id: u64) -> bool {
-        id < self.capture_cap
-    }
-
-    /// Keeps one captured outcome (any settle order; sorted at finish).
-    #[inline(always)]
-    fn capture(&mut self, id: u64, outcome: RequestOutcome) {
-        debug_assert!(self.captures(id));
-        self.captured.push((id, outcome));
-    }
-
-    /// Buffers one settled digest word and folds every now-contiguous
-    /// prefix into the digest.
-    #[inline(always)]
-    fn record(&mut self, id: u64, word: u64) {
-        debug_assert!(id >= self.base, "request {id} settled twice");
-        let off = (id - self.base) as usize;
-        if off >= self.window.len() {
-            self.window.resize_with(off + 1, || None);
-        }
-        debug_assert!(self.window[off].is_none(), "request {id} settled twice");
-        self.window[off] = Some(word);
-        self.peak_window = self.peak_window.max(self.window.len());
-        while let Some(&Some(w)) = self.window.front() {
-            self.window.pop_front();
-            self.digest = crate::backend::fnv_fold(self.digest, w);
-            self.base += 1;
-        }
-    }
-
-    /// Conservation check and final accounting:
-    /// `(digest, captured outcomes, peak reorder depth)`.
-    fn finish(mut self, n_requests: u64) -> (u64, Vec<RequestOutcome>, u64) {
-        assert_eq!(
-            self.base, n_requests,
-            "outcome ledger: {} of {n_requests} requests settled",
-            self.base
-        );
-        self.captured.sort_unstable_by_key(|&(id, _)| id);
-        let captured = self.captured.into_iter().map(|(_, o)| o).collect();
-        (self.digest, captured, self.peak_window as u64)
-    }
-}
-
-/// One epoch's worth of streamed timeline counters.
-#[derive(Debug, Clone, Copy)]
-struct SlotAcc {
-    arrivals: u64,
-    completed: u64,
-    dropped: u64,
-    slo_violations: u64,
-    energy: EnergyBreakdown,
-}
-
-impl SlotAcc {
-    const EMPTY: SlotAcc = SlotAcc {
-        arrivals: 0,
-        completed: 0,
-        dropped: 0,
-        slo_violations: 0,
-        energy: EnergyBreakdown::ZERO,
-    };
-}
-
-/// Streaming accumulator for the per-epoch report timeline.
-///
-/// Counters stream in by exact virtual timestamp as requests settle (the
-/// makespan — and hence the final epoch count — is unknown until the
-/// run ends); `finalize` clamps any counters recorded past the makespan
-/// into the last epoch, exactly as the outcome-replay builder it
-/// replaced did.
-struct TimelineAcc {
-    epoch_ns: u64,
-    slots: Vec<SlotAcc>,
-    /// Slot index and half-open `[start, end)` window of the last lookup.
-    /// Timestamps cluster heavily within one control epoch, so caching
-    /// the window turns the per-event `u64` division into two compares
-    /// on the hot path (`cached_end == 0` initially, so the first lookup
-    /// always misses).
-    cached_idx: usize,
-    cached_start: u64,
-    cached_end: u64,
-}
-
-impl TimelineAcc {
-    fn new(epoch_ns: u64) -> Self {
-        TimelineAcc { epoch_ns, slots: Vec::new(), cached_idx: 0, cached_start: 0, cached_end: 0 }
-    }
-
-    #[inline(always)]
-    fn slot(&mut self, t: u64) -> &mut SlotAcc {
-        if t < self.cached_start || t >= self.cached_end {
-            let idx = (t / self.epoch_ns) as usize;
-            if idx >= self.slots.len() {
-                self.slots.resize(idx + 1, SlotAcc::EMPTY);
-            }
-            self.cached_idx = idx;
-            self.cached_start = t - t % self.epoch_ns;
-            self.cached_end = self.cached_start.saturating_add(self.epoch_ns);
-        }
-        &mut self.slots[self.cached_idx]
-    }
-
-    /// An offered request at its arrival time.
-    #[inline(always)]
-    fn arrival(&mut self, t: u64) {
-        self.slot(t).arrivals += 1;
-    }
-
-    /// A dropped request at its arrival time (drops count as offered).
-    #[inline(always)]
-    fn drop_at(&mut self, t: u64) {
-        let s = self.slot(t);
-        s.arrivals += 1;
-        s.dropped += 1;
-    }
-
-    /// A completion (and its energy and SLO verdict) at its completion
-    /// time.
-    #[inline(always)]
-    fn completion(&mut self, t: u64, energy: EnergyBreakdown, violated: bool) {
-        let s = self.slot(t);
-        s.completed += 1;
-        s.energy += energy;
-        if violated {
-            s.slo_violations += 1;
-        }
-    }
-
-    /// Builds the report timeline: one [`EpochStat`] per epoch up to the
-    /// makespan, fleet states looked up from the run's change-point log.
-    fn finalize(mut self, makespan_ns: u64, states: &[(u64, EpochFleetState)]) -> Vec<EpochStat> {
-        let n_epochs =
-            if makespan_ns == 0 { 1 } else { makespan_ns.div_ceil(self.epoch_ns) } as usize;
-        if self.slots.len() < n_epochs {
-            self.slots.resize(n_epochs, SlotAcc::EMPTY);
-        }
-        // Timestamps at the very edge of the trace (a drop offered past
-        // the final completion, or a completion exactly at the makespan)
-        // clamp into the last epoch.
-        let overflow: Vec<SlotAcc> = self.slots.split_off(n_epochs);
-        if let Some(last) = self.slots.last_mut() {
-            for extra in overflow {
-                last.arrivals += extra.arrivals;
-                last.completed += extra.completed;
-                last.dropped += extra.dropped;
-                last.slo_violations += extra.slo_violations;
-                last.energy += extra.energy;
-            }
-        }
-        // Fleet states are change-points `(from_epoch, state)`; epochs
-        // between change-points (including every skipped boundary) carry
-        // the last recorded state forward.
-        let mut si = 0usize;
-        self.slots
-            .into_iter()
-            .enumerate()
-            .map(|(e, s)| {
-                while si + 1 < states.len() && states[si + 1].0 <= e as u64 {
-                    si += 1;
-                }
-                let st = states[si].1;
-                let start_ns = e as u64 * self.epoch_ns;
-                let end_ns = (start_ns.saturating_add(self.epoch_ns)).min(makespan_ns);
-                EpochStat {
-                    epoch: e as u64,
-                    start_ns,
-                    end_ns,
-                    active_shards: st.active_shards,
-                    clock: st.clock,
-                    arrivals: s.arrivals,
-                    completed: s.completed,
-                    dropped: s.dropped,
-                    slo_violations: s.slo_violations,
-                    energy: s.energy,
-                    static_pj: st.idle_mw as u128 * end_ns.saturating_sub(start_ns) as u128,
-                }
-            })
-            .collect()
-    }
-}
-
-/// Mutable accounting state of one `run` call.
+/// Mutable state of one run.
 struct SimState {
+    tot: Totals,
+    window: EpochWindow,
     ledger: OutcomeLedger,
     timeline: TimelineAcc,
-    queue: LatencyHistogram,
-    compute: LatencyHistogram,
-    total: LatencyHistogram,
-    completed: u64,
-    dropped: u64,
-    slo_violations: u64,
     per_shard_completed: Vec<u64>,
     shard_free: Vec<u64>,
-    makespan_ns: u64,
-    energy: EnergyBreakdown,
-    dense_flops: u128,
     events: EventList,
-    /// Requests currently riding an in-flight batch.
+    sessions: Sessions,
+    /// Prefills currently riding an in-flight batch.
     inflight_members: u64,
-    peak_inflight: u64,
-    epochs_stepped: u64,
-    epochs_skipped: u64,
-    /// Events processed since the last epoch boundary — the controller's
-    /// metric window (see [`FleetView`]).
-    ep_arrivals: u64,
-    ep_dropped: u64,
-    ep_completed: u64,
-    ep_slo: u64,
     /// The observability collector (every hook bails on one boolean when
     /// its pillar is disabled — the zero-overhead contract).
     obs: Obs,
@@ -400,21 +148,44 @@ struct SimState {
     /// Recycled batch-result buffers, same discipline (inline-executed
     /// fleets only; pool batches allocate on the worker side).
     scratch_results: Vec<Vec<Result<BackendOutput, ServeError>>>,
+    /// Recycled decode-step buffers of iteration-level batches, same
+    /// discipline (one-shot runs never touch them).
+    scratch_decodes: Vec<Vec<(u64, u64)>>,
 }
 
 impl SimState {
+    fn new(cfg: &ServeConfig, seed: u64, fleet_size: usize, epoch_ns: u64) -> Self {
+        SimState {
+            tot: Totals::default(),
+            window: EpochWindow::default(),
+            ledger: OutcomeLedger::new(cfg.outcome_capture),
+            timeline: TimelineAcc::new(epoch_ns),
+            per_shard_completed: vec![0; fleet_size],
+            shard_free: vec![0; fleet_size],
+            events: EventList::new(fleet_size),
+            sessions: Sessions::new(cfg, seed, fleet_size),
+            inflight_members: 0,
+            obs: Obs::new(&cfg.obs, seed, fleet_size, cfg.sessions.enabled()),
+            scratch_members: Vec::new(),
+            scratch_results: Vec::new(),
+            scratch_decodes: Vec::new(),
+        }
+    }
+
     /// Settles a shard's in-flight batch: collects its real results,
-    /// re-prices them for the clock the batch dispatched at, and advances
-    /// the shard's virtual clock through them in batch order.
+    /// re-prices every iteration for the clock the batch dispatched at,
+    /// and advances the shard's virtual clock through the decode steps
+    /// and then the prefills, in batch order.
     fn settle(
         &mut self,
         shard: usize,
-        slot: &mut Option<Inflight>,
+        inflight: &mut [Option<Inflight>],
         overhead_ns: u64,
-        backend: &dyn Backend,
-        shard_active: bool,
+        fleet: &[Arc<dyn Backend>],
+        active: &[bool],
     ) -> Result<(), ServeError> {
-        let Some(inf) = slot.take() else { return Ok(()) };
+        let Some(inf) = inflight[shard].take() else { return Ok(()) };
+        let backend = fleet[shard].as_ref();
         let prof = self.obs.prof_begin();
         let mut results = match inf.results {
             BatchResults::Pool(rx) => rx.recv().map_err(|_| {
@@ -428,51 +199,29 @@ impl SimState {
         // [`Backend::reprice`] requirement); skipping the virtual call
         // for nominal batches keeps the uncontrolled fast path free of
         // per-request dynamic dispatch.
-        let nominal = inf.clock == DvfsPoint::NOMINAL;
+        let clock = inf.clock;
+        let nominal = clock == DvfsPoint::NOMINAL;
+        let price = |out: BackendOutput| if nominal { out } else { backend.reprice(out, clock) };
         let mut t = inf.start_ns + overhead_ns;
+        let at = (shard, inf.batch, inf.start_ns);
+        for &(ready_ns, id) in &inf.decodes {
+            self.settle_decode(at, ready_ns, id, &mut t, backend, &price);
+        }
         for (m, res) in inf.members.iter().zip(results.drain(..)) {
-            // Re-pricing happens once, here, on the accounting thread:
-            // the worker computed the response at whatever wall-clock
+            // The worker computed the response at whatever wall-clock
             // speed; the virtual cost and energy belong to the DVFS point
-            // the batch dispatched at (identity at nominal).
-            let out = if nominal { res? } else { backend.reprice(res?, inf.clock) };
+            // the batch dispatched at.
+            let raw = res?;
+            let out = price(raw);
             t += out.cost_ns;
             let queue_ns = inf.start_ns - m.arrival_ns;
             let compute_ns = t - inf.start_ns;
-            self.queue.record(queue_ns);
-            self.compute.record(compute_ns);
-            self.total.record(queue_ns + compute_ns);
-            self.completed += 1;
-            self.ep_completed += 1;
-            self.per_shard_completed[shard] += 1;
-            // Fixed reduction order: settle() runs on the accounting
-            // thread in batch order, and the energies are integers, so the
-            // totals are byte-identical however the batches were executed.
-            self.energy += out.energy;
-            self.dense_flops += out.dense_flops as u128;
-            // Exactly `RequestOutcome::violated_slo`, without building the
-            // outcome record (only the debug capture materializes one).
+            self.tot.queue.record(queue_ns);
+            self.tot.compute.record(compute_ns);
+            self.obs.on_iteration();
+            // The TTFT budget is the class deadline, so for a one-shot
+            // request this is exactly `RequestOutcome::violated_slo`.
             let violated = queue_ns + compute_ns > m.slo.deadline_ns();
-            if violated {
-                self.slo_violations += 1;
-                self.ep_slo += 1;
-            }
-            if self.ledger.captures(m.id) {
-                self.ledger.capture(
-                    m.id,
-                    RequestOutcome::Completed {
-                        scenario: m.scenario,
-                        slo: m.slo,
-                        arrival_ns: m.arrival_ns,
-                        digest: out.digest,
-                        shard,
-                        batch: inf.batch,
-                        queue_ns,
-                        compute_ns,
-                        energy: out.energy,
-                    },
-                );
-            }
             self.obs.on_settle(
                 t,
                 m.id,
@@ -483,9 +232,29 @@ impl SimState {
                 violated,
                 out.energy.total_pj(),
             );
-            self.timeline.arrival(m.arrival_ns);
-            self.timeline.completion(t, out.energy, violated);
-            self.ledger.record(m.id, out.digest);
+            let tally = SessionTally {
+                scenario: m.scenario,
+                slo: m.slo,
+                arrival_ns: m.arrival_ns,
+                queue_ns,
+                digest: out.digest,
+                energy: out.energy,
+                flops: out.dense_flops as u128,
+                violated,
+            };
+            let len = self.sessions.len_of(m.id);
+            if len == 1 {
+                self.finish_session(shard, inf.batch, m.id, t, tally, true);
+            } else {
+                // Counted here for multi-iteration sessions only: a
+                // single-iteration session's iteration and TTFT verdict
+                // are its completion and SLO verdict, derived at report
+                // time.
+                self.tot.iterations += 1;
+                self.tot.ttft_violations += u64::from(violated);
+                self.tot.ttft_multi.record(queue_ns + compute_ns);
+                t = self.start_session(at, t, m.id, len, raw, tally, backend, &price);
+            }
         }
         // Both batch buffers are drained/done: return them to the scratch
         // pools for the next dispatch (grow-on-touch, never shrink).
@@ -493,13 +262,172 @@ impl SimState {
         let mut members = inf.members;
         members.clear();
         self.scratch_members.push(members);
+        if inf.decodes.capacity() > 0 {
+            let mut decodes = inf.decodes;
+            decodes.clear();
+            self.scratch_decodes.push(decodes);
+        }
         self.shard_free[shard] = t;
-        if shard_active {
+        if active[shard] {
             self.events.reschedule_shard(shard, t);
         }
-        self.makespan_ns = self.makespan_ns.max(t);
+        self.tot.makespan_ns = self.tot.makespan_ns.max(t);
         self.obs.prof_end(ProfSection::Settle, prof);
         Ok(())
+    }
+
+    /// Opens a multi-iteration session whose prefill settled at `t` in
+    /// batch `(shard, batch, start_ns)`. Continuous batching parks it for
+    /// its next step; gang scheduling runs every decode step and think
+    /// time inside the prefill's slot. Returns the shard's clock after.
+    /// Kept out of line so the one-shot settle loop stays tight.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn start_session(
+        &mut self,
+        (shard, batch, start_ns): (usize, u64, u64),
+        mut t: u64,
+        id: u64,
+        len: u32,
+        prefill: BackendOutput,
+        tally: SessionTally,
+        backend: &dyn Backend,
+        price: &impl Fn(BackendOutput) -> BackendOutput,
+    ) -> u64 {
+        let mut sess = SessionLive {
+            tally: SessionTally { digest: fnv_fold(FNV_OFFSET, tally.digest), ..tally },
+            len,
+            next_iter: 1,
+            prefill,
+            needs_prefill: false,
+            resident: false,
+            last_settle_ns: t,
+        };
+        if !self.sessions.gang {
+            self.sessions.park(shard, t, id, sess);
+            return t;
+        }
+        // Gang scheduling: the session holds its batch slot from prefill
+        // to completion; decode steps and think times serialize on the
+        // shard.
+        for iter in 1..len {
+            let ready_ns =
+                t.saturating_add(self.sessions.profile.think_ns(self.sessions.seed, id, iter));
+            let step = price(backend.decode_output(&prefill, iter as u64));
+            t = ready_ns + step.cost_ns;
+            self.tot.account_step(
+                &mut self.obs,
+                shard,
+                batch,
+                start_ns,
+                id,
+                ready_ns,
+                t,
+                step,
+                &mut sess,
+            );
+        }
+        self.finish_session(shard, batch, id, t, sess.tally, false);
+        t
+    }
+
+    /// Settles one continuous-batching decode step of session `id`,
+    /// ready since `ready_ns`, in batch `(shard, batch, start_ns)`:
+    /// prices it (plus the prefill recompute an eviction left owing),
+    /// moves the session to the back of its shard's LRU set, and
+    /// schedules its next step or finishes it.
+    fn settle_decode(
+        &mut self,
+        (shard, batch, start_ns): (usize, u64, u64),
+        ready_ns: u64,
+        id: u64,
+        t: &mut u64,
+        backend: &dyn Backend,
+        price: &impl Fn(BackendOutput) -> BackendOutput,
+    ) {
+        // Updated in place: a decode step is the hot path of session
+        // serving, and the map entry only moves when the session ends.
+        let Some(sess) = self.sessions.live.get_mut(&id) else { return };
+        let mut step = price(backend.decode_output(&sess.prefill, sess.next_iter as u64));
+        if sess.needs_prefill {
+            // The evicted state rebuilds: this step pays the prefill again
+            // in time, energy and FLOPs (the response bits are unchanged —
+            // recompute is deterministic).
+            let again = price(sess.prefill);
+            step.cost_ns += again.cost_ns;
+            step.energy += again.energy;
+            step.dense_flops += again.dense_flops;
+            sess.needs_prefill = false;
+        }
+        *t += step.cost_ns;
+        if sess.resident {
+            self.sessions.lru[shard].remove(&(sess.last_settle_ns, id));
+        }
+        self.tot.account_step(&mut self.obs, shard, batch, start_ns, id, ready_ns, *t, step, sess);
+        if sess.next_iter >= sess.len {
+            let tally = sess.tally;
+            self.sessions.live.remove(&id);
+            self.finish_session(shard, batch, id, *t, tally, false);
+            return;
+        }
+        sess.resident = true;
+        let next_iter = sess.next_iter;
+        self.sessions.schedule(shard, *t, id, next_iter);
+    }
+
+    /// Folds a finished session into the report accumulators: one ledger
+    /// word, one completion, one total-latency sample — sessions, not
+    /// iterations, are the unit every aggregate counts.
+    #[inline(always)]
+    fn finish_session(
+        &mut self,
+        shard: usize,
+        batch: u64,
+        id: u64,
+        t: u64,
+        sess: SessionTally,
+        single: bool,
+    ) {
+        let total_ns = t - sess.arrival_ns;
+        if single {
+            self.tot.total_single.record(total_ns);
+        } else {
+            self.tot.total_multi.record(total_ns);
+        }
+        self.tot.completed += 1;
+        self.window.completed += 1;
+        self.per_shard_completed[shard] += 1;
+        if sess.violated {
+            self.tot.slo_violations += 1;
+            self.tot.single_violations += u64::from(single);
+            self.window.slo_violations += 1;
+        }
+        // Fixed reduction order: settles run on the accounting thread in
+        // batch order, and the energies are integers, so the totals are
+        // byte-identical however the batches were executed.
+        self.tot.energy += sess.energy;
+        self.tot.dense_flops += sess.flops;
+        if self.ledger.captures(id) {
+            self.ledger.capture(
+                id,
+                RequestOutcome::Completed {
+                    scenario: sess.scenario,
+                    slo: sess.slo,
+                    arrival_ns: sess.arrival_ns,
+                    digest: sess.digest,
+                    shard,
+                    batch,
+                    queue_ns: sess.queue_ns,
+                    // Everything after admission — compute, think times,
+                    // per-step waits — so queue + compute spans the session.
+                    compute_ns: total_ns - sess.queue_ns,
+                    energy: sess.energy,
+                },
+            );
+        }
+        self.timeline.arrival(sess.arrival_ns);
+        self.timeline.completion(t, sess.energy, sess.violated);
+        self.ledger.record(id, sess.digest);
     }
 
     /// Records whatever the admission queue decided about one arrival.
@@ -509,7 +437,7 @@ impl SimState {
     #[inline(always)]
     fn record_admission(&mut self, req: &QueuedRequest, verdict: Admission, depth: usize) {
         self.obs.on_arrival(req.arrival_ns, req.id, req.scenario);
-        self.ep_arrivals += 1;
+        self.window.arrivals += 1;
         match verdict {
             Admission::Admitted => self.obs.on_admitted(req.arrival_ns, req.id, depth),
             Admission::Dropped { id, arrival_ns } => {
@@ -519,8 +447,8 @@ impl SimState {
                     self.obs.on_admitted(req.arrival_ns, req.id, depth);
                 }
                 self.obs.on_dropped(req.arrival_ns, id);
-                self.dropped += 1;
-                self.ep_dropped += 1;
+                self.tot.dropped += 1;
+                self.window.dropped += 1;
                 self.timeline.drop_at(arrival_ns);
                 if self.ledger.captures(id) {
                     self.ledger.capture(id, RequestOutcome::Dropped { arrival_ns });
@@ -530,47 +458,198 @@ impl SimState {
         }
     }
 
-    /// Tracks the peak of queued + in-flight requests — the live-state
-    /// bound [`LiveStats::peak_inflight`] reports.
+    /// Tracks the peak of queued + in-flight prefills + live sessions —
+    /// the live-state bound [`LiveStats::peak_inflight`] reports.
     #[inline(always)]
     fn note_live(&mut self, queued: usize) {
-        self.peak_inflight = self.peak_inflight.max(queued as u64 + self.inflight_members);
+        let live = queued as u64 + self.inflight_members + self.sessions.live.len() as u64;
+        self.tot.peak_inflight = self.tot.peak_inflight.max(live);
     }
 
-    /// Drains the epoch-window counters, returning
-    /// `(arrivals, dropped, completed, slo_violations)`.
-    fn take_epoch_counters(&mut self) -> (u64, u64, u64, u64) {
-        let c = (self.ep_arrivals, self.ep_dropped, self.ep_completed, self.ep_slo);
-        self.ep_arrivals = 0;
-        self.ep_dropped = 0;
-        self.ep_completed = 0;
-        self.ep_slo = 0;
-        c
+    /// Conservation checks and the final report.
+    fn into_report(
+        self,
+        fleet: &[Arc<dyn Backend>],
+        cfg: &ServeConfig,
+        batches: u64,
+        batched_requests: u64,
+        epoch_states: &[(u64, EpochFleetState)],
+    ) -> Result<ServeReport, ServeError> {
+        let arrivals = cfg.n_requests as u64;
+        let ledger = self.ledger.finish();
+        // Conservation: every observed arrival was either served or shed,
+        // exactly once, and no session is left mid-flight. `drop_fraction`
+        // divides by this sum, so the invariant is what keeps the reported
+        // rate meaningful.
+        if self.tot.completed + self.tot.dropped != arrivals
+            || ledger.folded != arrivals
+            || !self.sessions.live.is_empty()
+        {
+            return Err(ServeError::Conservation {
+                completed: self.tot.completed,
+                dropped: self.tot.dropped,
+                arrivals,
+            });
+        }
+        let timeline = self.timeline.finalize(self.tot.makespan_ns, epoch_states);
+        let single_sessions = self.tot.total_single.count();
+        let mut total = self.tot.total_single.clone();
+        total.merge(&self.tot.total_multi);
+        let mut ttft = self.tot.total_single;
+        ttft.merge(&self.tot.ttft_multi);
+        let static_energy_pj = timeline.iter().map(|e| e.static_pj).sum();
+        Ok(ServeReport {
+            backend: fleet_label(fleet),
+            config: cfg.clone(),
+            completed: self.tot.completed,
+            dropped: self.tot.dropped,
+            slo_violations: self.tot.slo_violations,
+            iterations: self.tot.iterations + single_sessions,
+            evictions: self.tot.evictions,
+            ttft_violations: self.tot.ttft_violations + self.tot.single_violations,
+            tbt_violations: self.tot.tbt_violations,
+            batches,
+            batched_requests,
+            queue: self.tot.queue,
+            compute: self.tot.compute,
+            total,
+            ttft,
+            tbt: self.tot.tbt,
+            makespan_ns: self.tot.makespan_ns,
+            energy: self.tot.energy,
+            dense_flops: self.tot.dense_flops,
+            digest: ledger.digest,
+            outcomes: ledger.outcomes,
+            per_shard_completed: self.per_shard_completed,
+            live: LiveStats {
+                peak_inflight: self.tot.peak_inflight,
+                peak_events: self.events.peak_depth() as u64,
+                peak_reorder: ledger.peak_reorder,
+                epochs_stepped: self.tot.epochs_stepped,
+                epochs_skipped: self.tot.epochs_skipped,
+            },
+            timeline,
+            static_energy_pj,
+            obs: self.obs.finish(),
+        })
     }
 }
 
-/// Fleet state in effect during one epoch, recorded at each boundary
-/// where it changed for the report timeline and the static-energy
-/// accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EpochFleetState {
-    active_shards: usize,
+/// The fleet-control side of a run: which shards take new prefills, the
+/// clock batches dispatch at, the controller, and the fleet-state
+/// change-points for the timeline.
+struct FleetControl {
+    controller: Box<dyn Controller>,
+    active: Vec<bool>,
     clock: DvfsPoint,
-    /// Σ over active shards of the backend's idle power at `clock`.
-    idle_mw: u64,
+    epoch_ns: u64,
+    tables: Vec<CostTable>,
+    states: Vec<(u64, EpochFleetState)>,
 }
 
-/// Total idle power of the active shards at the given clock, read from
-/// the fleet's memoized pricing tables. Clocks only ever come from
-/// [`crate::control::ControllerKind::pricing_points`] — the set the
-/// tables were built over — so the lookup always hits.
-fn fleet_idle_mw(tables: &[CostTable], active: &[bool], clock: DvfsPoint) -> u64 {
-    tables
-        .iter()
-        .zip(active)
-        .filter(|(_, a)| **a)
-        .map(|(t, _)| t.idle_mw(t.point_index(clock).expect("clock is a pricing point")))
-        .sum()
+impl FleetControl {
+    /// The fleet state in effect now. Idle power is read from the
+    /// memoized pricing tables; clocks only ever come from
+    /// [`crate::control::ControllerKind::pricing_points`] — the set the
+    /// tables were built over — so every lookup hits.
+    fn snapshot(&self) -> EpochFleetState {
+        let idle_mw = (self.tables.iter().zip(&self.active))
+            .filter(|(_, a)| **a)
+            .filter_map(|(t, _)| t.point_index(self.clock).map(|i| t.idle_mw(i)))
+            .sum();
+        EpochFleetState {
+            active_shards: self.active.iter().filter(|a| **a).count(),
+            clock: self.clock,
+            idle_mw,
+        }
+    }
+
+    /// Settles every epoch boundary the decision time `t_now` has
+    /// crossed: snapshots the ended epoch, lets the controller act, and
+    /// applies its actions before any further batch forms. Across an
+    /// idle gap with a quiescent controller the whole run of boundaries
+    /// fast-forwards in one O(1) skip.
+    fn cross_boundaries(&mut self, state: &mut SimState, t_now: u64, queue_depth: usize) {
+        let epoch_ns = self.epoch_ns;
+        while let Some((boundary, epoch)) = state.events.boundary_due(t_now) {
+            let EpochWindow { arrivals, dropped, completed, slo_violations } =
+                std::mem::take(&mut state.window);
+            let view = FleetView {
+                epoch,
+                start_ns: boundary - epoch_ns,
+                end_ns: boundary,
+                active_shards: self.active.iter().filter(|a| **a).count(),
+                max_shards: self.active.len(),
+                queue_depth,
+                arrivals,
+                dropped,
+                completed,
+                slo_violations,
+                clock: self.clock,
+            };
+            let all_quiet =
+                (arrivals | dropped | completed | slo_violations) == 0 && queue_depth == 0;
+            if all_quiet && self.controller.quiescent(&view) {
+                // Every remaining boundary up to t_now would see a view
+                // identical to this one (up to epoch index and
+                // timestamps): nothing settles or arrives before t_now,
+                // and a quiescent controller's decide is a no-op on all
+                // of them. Skip the whole run.
+                let skipped = (t_now - boundary) / epoch_ns + 1;
+                state.tot.epochs_skipped += skipped;
+                state.events.set_boundary(
+                    boundary.saturating_add(epoch_ns.saturating_mul(skipped)),
+                    epoch.saturating_add(skipped),
+                );
+                continue;
+            }
+            let prof_ctl = state.obs.prof_begin();
+            for action in self.controller.decide(&view) {
+                state.obs.on_control(boundary, epoch, &action);
+                match action {
+                    ControlAction::AddShard => {
+                        if let Some(s) = self.active.iter().position(|a| !a) {
+                            self.active[s] = true;
+                            state.events.activate_shard(s, state.shard_free[s]);
+                        }
+                    }
+                    ControlAction::DrainShard => {
+                        let n_active = self.active.iter().filter(|a| **a).count();
+                        if n_active > 1 {
+                            if let Some(s) = self.active.iter().rposition(|a| *a) {
+                                // Drain-before-stop: the shard takes no
+                                // new prefills; its in-flight batch and
+                                // resident sessions settle normally.
+                                self.active[s] = false;
+                                state.events.deactivate_shard(s);
+                            }
+                        }
+                    }
+                    ControlAction::SetClock(p) => {
+                        debug_assert!(p.freq_mhz > 0 && p.mv > 0, "degenerate clock {p:?}");
+                        self.clock = p;
+                    }
+                }
+            }
+            let st = self.snapshot();
+            if self.states.last().is_none_or(|(_, prev)| *prev != st) {
+                self.states.push((epoch + 1, st));
+            }
+            state.obs.prof_end(ProfSection::ControllerStep, prof_ctl);
+            state.obs.on_epoch(
+                boundary,
+                epoch,
+                st.active_shards,
+                queue_depth,
+                self.clock,
+                state.inflight_members,
+                state.events.depth() as u64,
+                state.events.live_shard_events() as u64,
+            );
+            state.tot.epochs_stepped += 1;
+            state.events.set_boundary(boundary.saturating_add(epoch_ns), epoch + 1);
+        }
+    }
 }
 
 /// Runs one request on `backend`: the payload-free fast path for
@@ -592,83 +671,46 @@ fn exec_request(
     }
 }
 
-/// Consumes the pending arrival and primes the next from the lazy
-/// stream, returning `(arrival_ns, id)`.
-#[inline(always)]
-fn next_arrival(events: &mut EventList, stream: &mut ArrivalIter, n_requests: u64) -> (u64, u64) {
-    let (t, id) = events.take_arrival().expect("caller checked a pending arrival");
-    if id + 1 < n_requests {
-        let t_next = stream.next().expect("arrival stream is infinite");
-        debug_assert!(t_next >= t, "arrival stream went backwards");
-        events.set_arrival(t_next, id + 1);
-    }
-    (t, id)
+/// The lazy arrival trace: consuming the pending arrival pulls the next
+/// from the stream, so the event list holds exactly one.
+struct Arrivals {
+    stream: ArrivalIter,
+    n_requests: u64,
 }
 
-/// Per-scenario and per-shard scheduling/routing estimates, computed once
-/// per run from the backends' analytic models.
-struct Estimates {
-    /// Fleet-mean service-time estimate per scenario (what queued
-    /// requests carry for SJF).
-    scenario_cost_ns: Vec<u64>,
-    /// Scenario-mean service-time estimate per shard (what routers see).
-    shard_cost_ns: Vec<u64>,
-    /// Scenario-mean energy estimate per shard (what routers see).
-    shard_energy_pj: Vec<u128>,
-    /// Scenario-mean prefill-phase estimate per shard
-    /// ([`Backend::estimate_prefill_ns`]) — the phase split routers see.
-    shard_prefill_ns: Vec<u64>,
-    /// Scenario-mean decode-step estimate per shard
-    /// ([`Backend::estimate_decode_ns`]).
-    shard_decode_ns: Vec<u64>,
-}
-
-impl Estimates {
-    /// Folds the fleet's memoized nominal pricing rows into the
-    /// per-scenario and per-shard means the policies consume. Nominal
-    /// table rows are exactly the live estimator outputs, so these are
-    /// the same integers as folding the estimators directly — including
-    /// the phase split, whose trait contract defines prefill as the full
-    /// nominal cost and one decode step as `1/DECODE_COST_DIV` of it
-    /// (floored at 1 ns). Folding rows instead of calling the live
-    /// estimators keeps backend model evaluation out of the serve path.
-    fn from_tables(tables: &[CostTable]) -> Self {
-        let n_scen = tables[0].scenarios();
-        let scenario_cost_ns = (0..n_scen)
-            .map(|s| {
-                let sum: u128 = tables.iter().map(|t| t.nominal_cost_row()[s] as u128).sum();
-                (sum / tables.len() as u128) as u64
-            })
-            .collect();
-        let shard_cost_ns = tables
-            .iter()
-            .map(|t| {
-                (t.nominal_cost_row().iter().map(|&v| v as u128).sum::<u128>() / n_scen as u128)
-                    as u64
-            })
-            .collect();
-        let shard_energy_pj = tables
-            .iter()
-            .map(|t| t.nominal_energy_row().iter().sum::<u128>() / n_scen as u128)
-            .collect();
-        let mut shard_prefill_ns = Vec::with_capacity(tables.len());
-        let mut shard_decode_ns = Vec::with_capacity(tables.len());
-        for t in tables {
-            let mut prefill: u128 = 0;
-            let mut decode: u128 = 0;
-            for &cost in t.nominal_cost_row() {
-                prefill += cost as u128;
-                decode += (cost / crate::backend::DECODE_COST_DIV).max(1) as u128;
+impl Arrivals {
+    /// Consumes the pending arrival, primes the next, and offers the
+    /// request to admission.
+    #[inline(always)]
+    fn admit_next(
+        &mut self,
+        state: &mut SimState,
+        queue: &mut AdmissionQueue,
+        queued: &impl Fn(u64, u64) -> QueuedRequest,
+    ) {
+        let Some((t, id)) = state.events.take_arrival() else { return };
+        if id + 1 < self.n_requests {
+            if let Some(t_next) = self.stream.next() {
+                debug_assert!(t_next >= t, "arrival stream went backwards");
+                state.events.set_arrival(t_next, id + 1);
             }
-            shard_prefill_ns.push((prefill / n_scen.max(1) as u128) as u64);
-            shard_decode_ns.push((decode / n_scen.max(1) as u128) as u64);
         }
-        Estimates {
-            scenario_cost_ns,
-            shard_cost_ns,
-            shard_energy_pj,
-            shard_prefill_ns,
-            shard_decode_ns,
+        let req = queued(id, t);
+        let verdict = queue.offer(req);
+        state.record_admission(&req, verdict, queue.len());
+    }
+
+    /// Admits every pending arrival up to and including `t`.
+    #[inline(always)]
+    fn admit_until(
+        &mut self,
+        t: u64,
+        state: &mut SimState,
+        queue: &mut AdmissionQueue,
+        queued: &impl Fn(u64, u64) -> QueuedRequest,
+    ) {
+        while state.events.arrival().is_some_and(|(ta, _)| ta <= t) {
+            self.admit_next(state, queue, queued);
         }
     }
 }
@@ -676,26 +718,17 @@ impl Estimates {
 /// Display name of a fleet: the single backend name, or the distinct
 /// names joined with `+` in shard order.
 fn fleet_label(fleet: &[Arc<dyn Backend>]) -> String {
-    let mut label = String::new();
-    let mut seen: Vec<&str> = Vec::new();
+    let mut names: Vec<&str> = Vec::new();
     for b in fleet {
-        if !seen.contains(&b.name()) {
-            if !seen.is_empty() {
-                let _ = write!(label, "+");
-            }
-            let _ = write!(label, "{}", b.name());
-            seen.push(b.name());
+        if !names.contains(&b.name()) {
+            names.push(b.name());
         }
     }
-    label
+    names.join("+")
 }
 
-/// One fully-specified serving run: the fleet plus the operating point.
-///
-/// This is the single typed entry point of [`ServeRuntime::serve`] —
-/// it replaces the positional `run`/`run_fleet` pair, whose argument
-/// order carried no types to catch a swap and which could not grow
-/// session parameters without breaking every call site.
+/// One fully-specified serving run: the fleet plus the operating point —
+/// the single typed entry point of [`ServeRuntime::serve`].
 #[derive(Clone)]
 pub struct ServeSpec {
     /// One backend per shard, covering the control ceiling:
@@ -802,12 +835,9 @@ impl ServeRuntime {
     }
 
     /// Serves one fully-specified run ([`ServeSpec`]) and reports
-    /// latency, energy and SLO accounting.
-    ///
-    /// Dispatches on [`crate::config::SessionConfig::enabled`]: a
-    /// one-shot session profile (the default) runs the legacy pipelined
-    /// engine byte-for-byte, a multi-iteration profile runs the session
-    /// engine with iteration-level continuous batching.
+    /// latency, streaming, energy and SLO accounting. One event loop
+    /// serves every session profile; see the module docs for its timing
+    /// rules.
     ///
     /// # Errors
     ///
@@ -815,134 +845,69 @@ impl ServeRuntime {
     /// [`ServeError::InvalidConfig`] for a bad configuration,
     /// [`ServeError::FleetMismatch`] when the fleet does not cover the
     /// control ceiling (`config.control.fleet_size(config.shards)`
-    /// backends), and propagates backend failures.
+    /// backends), [`ServeError::Conservation`] if the engine failed to
+    /// serve or shed every arrival exactly once, and propagates backend
+    /// failures.
     pub fn serve(&self, spec: &ServeSpec) -> Result<ServeReport, ServeError> {
-        spec.config.validate()?;
-        let fleet_size = spec.config.control.fleet_size(spec.config.shards);
-        if spec.fleet.len() != fleet_size {
-            return Err(ServeError::FleetMismatch { fleet: spec.fleet.len(), shards: fleet_size });
+        let (fleet, cfg) = (&spec.fleet, &spec.config);
+        cfg.validate()?;
+        let fleet_size = cfg.control.fleet_size(cfg.shards);
+        if fleet.len() != fleet_size {
+            return Err(ServeError::FleetMismatch { fleet: fleet.len(), shards: fleet_size });
         }
-        if spec.config.sessions.enabled() {
-            self.serve_sessions(&spec.fleet, &spec.config)
-        } else {
-            self.serve_oneshot(&spec.fleet, &spec.config)
-        }
-    }
-
-    /// Serves one trace on a homogeneous fleet.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::serve`].
-    #[deprecated(note = "build a `ServeSpec` and call `ServeRuntime::serve`")]
-    pub fn run(
-        &self,
-        backend: &Arc<dyn Backend>,
-        cfg: &ServeConfig,
-    ) -> Result<ServeReport, ServeError> {
-        self.serve(&ServeSpec::homogeneous(backend, cfg))
-    }
-
-    /// Serves one trace on an explicit fleet.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::serve`].
-    #[deprecated(note = "build a `ServeSpec` and call `ServeRuntime::serve`")]
-    pub fn run_fleet(
-        &self,
-        fleet: &[Arc<dyn Backend>],
-        cfg: &ServeConfig,
-    ) -> Result<ServeReport, ServeError> {
-        self.serve(&ServeSpec::fleet(fleet.to_vec(), cfg))
-    }
-
-    /// The legacy pipelined one-shot engine: every request is a session
-    /// of exactly one iteration. `serve` validated the config and the
-    /// fleet size. All pre-session digest/fingerprint pins ride this
-    /// path unchanged.
-    fn serve_oneshot(
-        &self,
-        fleet: &[Arc<dyn Backend>],
-        cfg: &ServeConfig,
-    ) -> Result<ServeReport, ServeError> {
-        let fleet_size = fleet.len();
+        let seed = self.gen.seed();
         let scheduler = cfg.scheduler.build();
         let router = cfg.router.build();
-        let mut controller: Box<dyn Controller> = cfg.control.controller.build();
         let epoch_ns = cfg.control.epoch_us.saturating_mul(1_000).max(1);
-        let n_requests = cfg.n_requests as u64;
-        // The arrival trace streams lazily: the event list holds exactly
-        // one pending arrival; consuming it pulls the next.
-        let mut stream = cfg.arrival.stream(cfg.offered_load, self.gen.seed() ^ ARRIVAL_SALT);
+        let deadline_ns = cfg.batch_deadline_us.saturating_mul(1_000);
+        let overhead_ns = cfg.batch_overhead_us.saturating_mul(1_000);
+        let sessions_on = cfg.sessions.enabled();
+        let budget = if sessions_on { cfg.sessions.state_budget } else { 0 };
+        // Distinct sessions per batch: the whole batch becomes resident
+        // at settle, so it must itself fit the state budget.
+        let cap = if budget > 0 { cfg.max_batch.min(budget) } else { cfg.max_batch };
         // Memoize each backend's pricing surface once. The scheduler and
-        // router estimates below and the per-epoch idle accounting index
-        // these tables instead of re-running analytic estimators; the
-        // `cost` property tests pin every entry equal to the live path.
+        // router estimates and the per-epoch idle accounting index these
+        // tables instead of re-running analytic estimators; the `cost`
+        // property tests pin every entry equal to the live path.
         let points = cfg.control.controller.pricing_points();
         let tables: Vec<CostTable> = fleet
             .iter()
             .map(|b| CostTable::build(b.as_ref(), &self.gen, &points))
             .collect::<Result<_, _>>()?;
-        let est = Estimates::from_tables(&tables);
-        let deadline_ns = cfg.batch_deadline_us.saturating_mul(1_000);
-        let overhead_ns = cfg.batch_overhead_us.saturating_mul(1_000);
+        let est = Estimates::from_tables(&tables, overhead_ns, cfg.max_batch);
         // Payload-free fleets (replay/modeled backends) execute batches
         // inline on the accounting thread: no materialization, no pool
         // round-trip — the fast path trace-scale simulation rides on.
         let inline = fleet.iter().all(|b| b.payload_free());
 
-        let mut state = SimState {
-            ledger: OutcomeLedger::new(cfg.outcome_capture),
-            timeline: TimelineAcc::new(epoch_ns),
-            queue: LatencyHistogram::new(),
-            compute: LatencyHistogram::new(),
-            total: LatencyHistogram::new(),
-            completed: 0,
-            dropped: 0,
-            slo_violations: 0,
-            per_shard_completed: vec![0; fleet_size],
-            shard_free: vec![0; fleet_size],
-            makespan_ns: 0,
-            energy: EnergyBreakdown::ZERO,
-            dense_flops: 0,
-            events: EventList::new(fleet_size),
-            inflight_members: 0,
-            peak_inflight: 0,
-            epochs_stepped: 0,
-            epochs_skipped: 0,
-            ep_arrivals: 0,
-            ep_dropped: 0,
-            ep_completed: 0,
-            ep_slo: 0,
-            obs: Obs::new(&cfg.obs, self.gen.seed(), fleet_size, false),
-            scratch_members: Vec::new(),
-            scratch_results: Vec::new(),
+        let mut state = SimState::new(cfg, seed, fleet_size, epoch_ns);
+        let mut ctl = FleetControl {
+            controller: cfg.control.controller.build(),
+            // Shards beyond cfg.shards start inactive (autoscaling
+            // headroom).
+            active: (0..fleet_size).map(|s| s < cfg.shards).collect(),
+            clock: DvfsPoint::NOMINAL,
+            epoch_ns,
+            tables,
+            states: Vec::new(),
         };
+        ctl.states.push((0, ctl.snapshot()));
         let mut queue = AdmissionQueue::new(cfg.queue_capacity, cfg.drop);
         let mut inflight: Vec<Option<Inflight>> = (0..fleet_size).map(|_| None).collect();
         let mut batches = 0u64;
         let mut batched_requests = 0u64;
-
-        // Control-loop state: which shards take new batches, the clock
-        // batches dispatch at, and the fleet-state change-points for the
-        // timeline. Shards beyond cfg.shards start inactive (autoscaling
-        // headroom).
-        let mut active: Vec<bool> = (0..fleet_size).map(|s| s < cfg.shards).collect();
-        let mut clock = DvfsPoint::NOMINAL;
-        let mut epoch_states: Vec<(u64, EpochFleetState)> = vec![(
-            0,
-            EpochFleetState {
-                active_shards: cfg.shards,
-                clock,
-                idle_mw: fleet_idle_mw(&tables, &active, clock),
-            },
-        )];
-        for (s, _) in active.iter().enumerate().filter(|(_, a)| **a) {
+        for s in 0..cfg.shards {
             state.events.activate_shard(s, 0);
         }
         state.events.set_boundary(epoch_ns, 0);
-        state.events.set_arrival(stream.next().expect("arrival stream is infinite"), 0);
+        let mut arrivals = Arrivals {
+            stream: cfg.arrival.stream(cfg.offered_load, seed ^ ARRIVAL_SALT),
+            n_requests: cfg.n_requests as u64,
+        };
+        if let Some(t0) = arrivals.stream.next() {
+            state.events.set_arrival(t0, 0);
+        }
 
         let gen = &self.gen;
         let queued = |id: u64, arrival_ns: u64| {
@@ -957,217 +922,159 @@ impl ServeRuntime {
                 deadline_ns: arrival_ns.saturating_add(slo.deadline_ns()),
             }
         };
-        // Per-shard static router ratings, computed once; the routable
-        // view buffer is rebuilt per dispatch (the active set can change
-        // at any boundary) into reused storage.
-        let est_batch_ns: Vec<u64> = (0..fleet_size)
-            .map(|shard| {
-                overhead_ns
-                    .saturating_add(est.shard_cost_ns[shard].saturating_mul(cfg.max_batch as u64))
-            })
-            .collect();
+        // The routable view buffer is rebuilt per dispatch (the active
+        // set can change at any boundary) into reused storage.
         let mut views: Vec<ShardView> = Vec::with_capacity(fleet_size);
 
         loop {
-            if queue.is_empty() && state.events.arrival().is_none() {
-                break;
-            }
-            // The earliest moment the next batch could start: no sooner
-            // than the earliest *active* shard frees and no sooner than
-            // work exists to serve. (Under the pipelined round-robin path
-            // free times may be stale-low; the bound is still
-            // deterministic, which is all the control loop needs.)
+            // The earliest moment the next batch could start: a due
+            // decode step at `max(ready, shard free)`, or pending prefill
+            // work no sooner than the earliest *active* shard frees.
+            // (Under the pipelined round-robin path free times may be
+            // stale-low; the bound is still deterministic, which is all
+            // the control loop needs.)
             let prof_pop = state.obs.prof_begin();
             let pending = queue
                 .front()
                 .map(|r| r.arrival_ns)
-                .or_else(|| state.events.arrival().map(|(t, _)| t))
-                .expect("loop not done: work exists");
+                .or_else(|| state.events.arrival().map(|(t, _)| t));
             let min_free = state.events.min_active_free().expect("at least one active shard");
-            let t_now = min_free.max(pending);
+            let prefill_at = pending.map(|p| min_free.max(p));
+            // A due decode step wins ties: the resident session continues
+            // before new work claims the shard.
+            let decode = state
+                .sessions
+                .next_decode(&state.shard_free)
+                .filter(|&(td, _)| prefill_at.is_none_or(|tp| td <= tp));
+            let t_now = match (decode, prefill_at) {
+                (Some((td, _)), _) => td,
+                (None, Some(tp)) => tp,
+                (None, None) => break,
+            };
             state.obs.prof_end(ProfSection::EventPop, prof_pop);
+            ctl.cross_boundaries(&mut state, t_now, queue.len());
 
-            // Settle every epoch boundary the decision time has crossed:
-            // snapshot the ended epoch, let the controller act, apply its
-            // actions before any further batch forms. Across an idle gap
-            // with a quiescent controller the whole run of boundaries
-            // fast-forwards in one O(1) skip.
-            while let Some((boundary, epoch)) = state.events.boundary_due(t_now) {
-                let (arrivals_w, dropped_w, completed_w, slo_w) = state.take_epoch_counters();
-                let view = FleetView {
-                    epoch,
-                    start_ns: boundary - epoch_ns,
-                    end_ns: boundary,
-                    active_shards: active.iter().filter(|a| **a).count(),
-                    max_shards: fleet_size,
-                    queue_depth: queue.len(),
-                    arrivals: arrivals_w,
-                    dropped: dropped_w,
-                    completed: completed_w,
-                    slo_violations: slo_w,
-                    clock,
-                };
-                let all_quiet = arrivals_w == 0
-                    && dropped_w == 0
-                    && completed_w == 0
-                    && slo_w == 0
-                    && queue.is_empty();
-                if all_quiet && controller.quiescent(&view) {
-                    // Every remaining boundary up to t_now would see a
-                    // view identical to this one (up to epoch index and
-                    // timestamps): nothing settles or arrives before
-                    // t_now, and a quiescent controller's decide is a
-                    // no-op on all of them. Skip the whole run.
-                    let skipped = (t_now - boundary) / epoch_ns + 1;
-                    state.epochs_skipped += skipped;
-                    state.events.set_boundary(
-                        boundary.saturating_add(epoch_ns.saturating_mul(skipped)),
-                        epoch.saturating_add(skipped),
-                    );
-                    continue;
-                }
-                let prof_ctl = state.obs.prof_begin();
-                for action in controller.decide(&view) {
-                    state.obs.on_control(boundary, epoch, &action);
-                    match action {
-                        ControlAction::AddShard => {
-                            if let Some(s) = active.iter().position(|a| !a) {
-                                active[s] = true;
-                                state.events.activate_shard(s, state.shard_free[s]);
-                            }
-                        }
-                        ControlAction::DrainShard => {
-                            let n_active = active.iter().filter(|a| **a).count();
-                            if n_active > 1 {
-                                if let Some(s) = active.iter().rposition(|a| *a) {
-                                    // Drain-before-stop: the shard takes
-                                    // no new batches; its in-flight batch
-                                    // settles through the normal path.
-                                    active[s] = false;
-                                    state.events.deactivate_shard(s);
-                                }
-                            }
-                        }
-                        ControlAction::SetClock(p) => {
-                            debug_assert!(p.freq_mhz > 0 && p.mv > 0, "degenerate clock {p:?}");
-                            clock = p;
-                        }
-                    }
-                }
-                let st = EpochFleetState {
-                    active_shards: active.iter().filter(|a| **a).count(),
-                    clock,
-                    idle_mw: fleet_idle_mw(&tables, &active, clock),
-                };
-                if epoch_states.last().map(|(_, prev)| *prev != st).unwrap_or(true) {
-                    epoch_states.push((epoch + 1, st));
-                }
-                state.obs.prof_end(ProfSection::ControllerStep, prof_ctl);
-                let inflight_now = state.inflight_members;
-                let ev_depth = state.events.depth() as u64;
-                let free_ev = state.events.live_shard_events() as u64;
-                state.obs.on_epoch(
-                    boundary,
-                    epoch,
-                    st.active_shards,
-                    queue.len(),
-                    clock,
-                    inflight_now,
-                    ev_depth,
-                    free_ev,
-                );
-                state.epochs_stepped += 1;
-                state.events.set_boundary(boundary.saturating_add(epoch_ns), epoch + 1);
-            }
-
-            // Routing over the *active* shards only. Routers that read
-            // shard backlogs ask for fleet state: every in-flight batch is
+            // Pick the shard and what leads its batch. A due decode step
+            // stays on its resident shard; otherwise the router places
+            // prefill work on an *active* shard. Routers that read shard
+            // backlogs ask for fleet state: every in-flight batch is
             // settled first so free times are exact. Stateless routers
             // (round-robin) route on possibly stale views and settle only
             // the chosen shard, keeping up to one batch in flight per
-            // shard — the PR 2 pipeline.
-            let shard = if router.needs_fleet_state() {
-                for (s, slot) in inflight.iter_mut().enumerate() {
-                    state.settle(s, slot, overhead_ns, fleet[s].as_ref(), active[s])?;
+            // shard — the one-shot pipeline.
+            let (shard, decode_at) = match (decode, pending) {
+                (Some((td, shard)), _) => (shard, Some(td)),
+                (None, None) => break,
+                (None, Some(pending)) => {
+                    let shard = if router.needs_fleet_state() {
+                        for s in 0..fleet_size {
+                            state.settle(s, &mut inflight, overhead_ns, fleet, &ctl.active)?;
+                        }
+                        let min_free =
+                            state.events.min_active_free().expect("at least one active shard");
+                        est.fill_views(&mut views, &ctl.active, &state.shard_free);
+                        views[router.route(batches, min_free.max(pending), &views)].shard
+                    } else {
+                        est.fill_views(&mut views, &ctl.active, &state.shard_free);
+                        let s = views[router.route(batches, 0, &views)].shard;
+                        state.settle(s, &mut inflight, overhead_ns, fleet, &ctl.active)?;
+                        s
+                    };
+                    (shard, None)
                 }
-                let min_free = state.events.min_active_free().expect("at least one active shard");
-                fill_views(&mut views, &active, &state.shard_free, &est_batch_ns, &est);
-                let pos = router.route(batches, min_free.max(pending), &views);
-                views[pos].shard
-            } else {
-                fill_views(&mut views, &active, &state.shard_free, &est_batch_ns, &est);
-                let pos = router.route(batches, 0, &views);
-                let s = views[pos].shard;
-                state.settle(s, &mut inflight[s], overhead_ns, fleet[s].as_ref(), active[s])?;
-                s
             };
-            debug_assert!(shard < fleet_size, "router returned shard {shard}");
             let t_free = state.shard_free[shard];
 
-            // Admission: everything that arrived while this shard was
-            // busy faces the bounded queue and its drop policy.
+            // Multi-iteration runs batch at iteration level: prefill work
+            // dispatches as soon as the routed shard is free, because a
+            // batching window would stall the shard's resident sessions.
+            let dispatch_at = decode_at.or(sessions_on.then(|| t_now.max(t_free)));
             let prof_pull = state.obs.prof_begin();
-            while state.events.arrival().is_some_and(|(t, _)| t <= t_free) {
-                let (t_arr, id) = next_arrival(&mut state.events, &mut stream, n_requests);
-                let req = queued(id, t_arr);
-                let verdict = queue.offer(req);
-                state.record_admission(&req, verdict, queue.len());
-            }
-            if queue.is_empty() {
-                if state.events.arrival().is_none() {
-                    state.obs.prof_end(ProfSection::ArrivalPull, prof_pull);
-                    continue; // other shards may still be in flight; loop exits above
+            let (start_ns, decodes, members, prof_dispatch) = if let Some(td) = dispatch_at {
+                // The shard's due steps ride first; the scheduler tops the
+                // batch up with queued prefills.
+                arrivals.admit_until(td, &mut state, &mut queue, &queued);
+                state.note_live(queue.len());
+                state.obs.prof_end(ProfSection::ArrivalPull, prof_pull);
+                let prof_dispatch = state.obs.prof_begin();
+                let mut decodes = state.scratch_decodes.pop().unwrap_or_default();
+                state.sessions.take_due(shard, td, cap, &mut decodes);
+                let mut members = state.scratch_members.pop().unwrap_or_default();
+                let slots = cap - decodes.len();
+                if slots > 0 && !queue.is_empty() {
+                    scheduler.admit_into(&mut queue, slots, td, &mut members);
                 }
-                // Idle shard: virtually wait for the next arrival (an
-                // empty queue always admits).
-                let (t_arr, id) = next_arrival(&mut state.events, &mut stream, n_requests);
-                let req = queued(id, t_arr);
-                let verdict = queue.offer(req);
-                state.record_admission(&req, verdict, queue.len());
-            }
-            // Batching window: wait for a full batch unless the oldest
-            // waiting request's deadline fires first.
-            let t_deadline = queue.front().expect("queue non-empty").arrival_ns + deadline_ns;
-            while queue.len() < cfg.max_batch
-                && state.events.arrival().is_some_and(|(t, _)| t <= t_deadline)
-            {
-                let (t_arr, id) = next_arrival(&mut state.events, &mut stream, n_requests);
-                let req = queued(id, t_arr);
-                let verdict = queue.offer(req);
-                state.record_admission(&req, verdict, queue.len());
-            }
-            // One live-state probe per pull phase: the queue only grows
-            // between dispatches and in-flight membership is constant
-            // here, so the end-of-phase depth *is* the phase's maximum —
-            // the per-offer probes it replaces measured the same peak.
-            state.note_live(queue.len());
-            state.obs.prof_end(ProfSection::ArrivalPull, prof_pull);
-            // Scheduling: the policy picks who rides this batch, filling
-            // a recycled member buffer (no steady-state allocation).
-            let prof_dispatch = state.obs.prof_begin();
-            let mut members = state.scratch_members.pop().unwrap_or_default();
-            scheduler.select_into(&mut queue, cfg.max_batch, t_free, &mut members);
-            debug_assert!(!members.is_empty(), "scheduler returned an empty batch");
-            let last_arrival = members.iter().map(|m| m.arrival_ns).max().expect("batch non-empty");
-            let ready_at = if members.len() >= cfg.max_batch {
-                last_arrival // when the filling request arrived
-            } else if state.events.arrival().is_some() {
-                t_deadline
+                if decodes.is_empty() && members.is_empty() {
+                    // Every arrival up to `td` was shed: nothing to
+                    // dispatch this instant.
+                    state.obs.prof_end(ProfSection::Dispatch, prof_dispatch);
+                    state.scratch_members.push(members);
+                    continue;
+                }
+                // A prefill admitted by an earlier batching window may
+                // postdate the step: nothing is served before it arrives.
+                let start_ns = members.iter().map(|m| m.arrival_ns).fold(td, u64::max);
+                (start_ns, decodes, members, prof_dispatch)
             } else {
-                last_arrival // trace exhausted: flush
+                // Admission: everything that arrived while this shard was
+                // busy faces the bounded queue and its drop policy; an idle
+                // shard virtually waits for the next arrival (an empty
+                // queue always admits).
+                arrivals.admit_until(t_free, &mut state, &mut queue, &queued);
+                if queue.is_empty() {
+                    arrivals.admit_next(&mut state, &mut queue, &queued);
+                }
+                let Some(oldest) = queue.front().map(|r| r.arrival_ns) else {
+                    state.obs.prof_end(ProfSection::ArrivalPull, prof_pull);
+                    continue; // other shards may still be in flight
+                };
+                // Batching window: wait for a full batch unless the oldest
+                // waiting request's deadline fires first.
+                let t_deadline = oldest + deadline_ns;
+                while queue.len() < cap
+                    && state.events.arrival().is_some_and(|(t, _)| t <= t_deadline)
+                {
+                    arrivals.admit_next(&mut state, &mut queue, &queued);
+                }
+                // One live-state probe per pull phase: the queue only grows
+                // between dispatches and in-flight membership is constant
+                // here, so the end-of-phase depth *is* the phase's maximum.
+                state.note_live(queue.len());
+                state.obs.prof_end(ProfSection::ArrivalPull, prof_pull);
+                // Scheduling: the policy picks who rides this batch, filling
+                // a recycled member buffer (no steady-state allocation).
+                let prof_dispatch = state.obs.prof_begin();
+                let mut members = state.scratch_members.pop().unwrap_or_default();
+                scheduler.select_into(&mut queue, cap, t_free, &mut members);
+                let last_arrival = members.iter().map(|m| m.arrival_ns).max().unwrap_or(oldest);
+                let ready_at = if members.len() >= cap {
+                    last_arrival // when the filling request arrived
+                } else if state.events.arrival().is_some() {
+                    t_deadline
+                } else {
+                    last_arrival // trace exhausted: flush
+                };
+                (t_free.max(ready_at), Vec::new(), members, prof_dispatch)
             };
-            let start_ns = t_free.max(ready_at);
-            batched_requests += members.len() as u64;
-            state.obs.on_dispatch(start_ns, batches, shard, members.len(), clock);
-            for m in &members {
-                state.obs.on_scheduled(start_ns, m.id, batches, shard);
+
+            if budget > 0 && !state.sessions.gang {
+                state.sessions.evict_for(shard, budget, &decodes, &members, |id| {
+                    state.tot.evictions += 1;
+                    state.obs.on_evicted(start_ns, id);
+                });
+            }
+            let size = decodes.len() + members.len();
+            batched_requests += size as u64;
+            state.obs.on_dispatch(start_ns, batches, shard, size, ctl.clock);
+            for id in decodes.iter().map(|&(_, id)| id).chain(members.iter().map(|m| m.id)) {
+                state.obs.on_scheduled(start_ns, id, batches, shard);
             }
 
-            // Real execution. Payload-free fleets evaluate the batch
-            // inline; otherwise the batch materializes and runs on this
-            // shard's pool worker, results returning over a per-batch
-            // channel. Timing comes from the cost model either way, never
-            // the wall clock.
+            // Real execution. Payload-free fleets evaluate the prefills
+            // inline; otherwise they materialize and run on this shard's
+            // pool worker, results returning over a per-batch channel.
+            // Timing comes from the cost model either way, never the
+            // wall clock.
             let results = if inline {
                 let backend = fleet[shard].as_ref();
                 let mut out = state.scratch_results.pop().unwrap_or_default();
@@ -1183,7 +1090,7 @@ impl ServeRuntime {
                         .iter()
                         .map(|&(id, sc)| exec_request(&gen, backend.as_ref(), id, sc))
                         .collect();
-                    // The receiver disappears only if `run` already
+                    // The receiver disappears only if `serve` already
                     // failed; nothing to report to in that case.
                     let _ = tx.send(results);
                 });
@@ -1191,722 +1098,19 @@ impl ServeRuntime {
             };
             state.inflight_members += members.len() as u64;
             state.note_live(queue.len());
-            inflight[shard] = Some(Inflight { start_ns, batch: batches, clock, members, results });
+            let batch =
+                Inflight { start_ns, batch: batches, clock: ctl.clock, decodes, members, results };
+            inflight[shard] = Some(batch);
             batches += 1;
             state.obs.prof_end(ProfSection::Dispatch, prof_dispatch);
+            if sessions_on {
+                state.settle(shard, &mut inflight, overhead_ns, fleet, &ctl.active)?;
+            }
         }
-        for (shard, slot) in inflight.iter_mut().enumerate() {
-            state.settle(shard, slot, overhead_ns, fleet[shard].as_ref(), active[shard])?;
+        for s in 0..fleet_size {
+            state.settle(s, &mut inflight, overhead_ns, fleet, &ctl.active)?;
         }
-        // Conservation: every observed arrival was either served or shed.
-        // `drop_fraction` divides by this sum, so the invariant is what
-        // keeps the reported rate meaningful for partial traces too.
-        assert_eq!(
-            state.completed + state.dropped,
-            n_requests,
-            "runtime lost requests: {} completed + {} dropped != {} arrivals",
-            state.completed,
-            state.dropped,
-            n_requests
-        );
-
-        let SimState {
-            ledger,
-            timeline,
-            queue: queue_hist,
-            compute,
-            total,
-            completed,
-            dropped,
-            slo_violations,
-            per_shard_completed,
-            makespan_ns,
-            energy,
-            dense_flops,
-            events,
-            peak_inflight,
-            epochs_stepped,
-            epochs_skipped,
-            obs,
-            ..
-        } = state;
-        let (digest, outcomes, peak_reorder) = ledger.finish(n_requests);
-        let timeline = timeline.finalize(makespan_ns, &epoch_states);
-        let static_energy_pj = timeline.iter().map(|e| e.static_pj).sum();
-        let live = LiveStats {
-            peak_inflight,
-            peak_events: events.peak_depth() as u64,
-            peak_reorder,
-            epochs_stepped,
-            epochs_skipped,
-        };
-
-        // Every request is a single-iteration session: its first token is
-        // its only token, so TTFT equals total latency, the TTFT budget
-        // equals the class deadline, and no token-to-token gap exists.
-        let ttft = total.clone();
-        Ok(ServeReport {
-            backend: fleet_label(fleet),
-            config: cfg.clone(),
-            completed,
-            dropped,
-            slo_violations,
-            iterations: completed,
-            evictions: 0,
-            ttft_violations: slo_violations,
-            tbt_violations: 0,
-            batches,
-            batched_requests,
-            queue: queue_hist,
-            compute,
-            total,
-            ttft,
-            tbt: LatencyHistogram::new(),
-            makespan_ns,
-            energy,
-            dense_flops,
-            digest,
-            outcomes,
-            per_shard_completed,
-            live,
-            timeline,
-            static_energy_pj,
-            obs: obs.finish(),
-        })
-    }
-
-    /// The session engine: sessions as the unit of serving, with
-    /// iteration-level continuous batching.
-    ///
-    /// Every request id is the *prefill* of a session whose length and
-    /// think times are pure functions of `(seed, id)` — see
-    /// [`defa_model::workload::SessionProfile`]. Prefills face admission
-    /// and the scheduler exactly as legacy requests do; each settled
-    /// iteration then schedules the next decode step on the session's
-    /// resident shard after its seeded think time, and due decode steps
-    /// rejoin that shard's next batch ahead of new prefills (they
-    /// already hold state there). A per-shard state budget
-    /// ([`crate::config::SessionConfig::state_budget`]) caps resident
-    /// sessions; making room evicts the least-recently-settled resident
-    /// not riding the forming batch, whose next step then pays a priced
-    /// prefill recompute. Gang mode schedules a session as one unit:
-    /// its decode steps and think times hold the shard (and its state
-    /// slot) from prefill to completion — the baseline continuous
-    /// batching is measured against.
-    ///
-    /// Batches settle synchronously at dispatch (each decode step's
-    /// cost derives from its session's settled prefill via
-    /// [`Backend::decode_output`]), so free times are always exact and
-    /// `batch_deadline_us` never applies: dispatch is greedy, which is
-    /// what iteration-level batching means. Fleet controllers are
-    /// rejected by validation for now.
-    fn serve_sessions(
-        &self,
-        fleet: &[Arc<dyn Backend>],
-        cfg: &ServeConfig,
-    ) -> Result<ServeReport, ServeError> {
-        let fleet_size = fleet.len();
-        let scheduler = cfg.scheduler.build();
-        let router = cfg.router.build();
-        let epoch_ns = cfg.control.epoch_us.saturating_mul(1_000).max(1);
-        let n_requests = cfg.n_requests as u64;
-        let profile = cfg.sessions.profile;
-        let budget = cfg.sessions.state_budget;
-        let gang = cfg.sessions.gang;
-        let seed = self.gen.seed();
-        let mut stream = cfg.arrival.stream(cfg.offered_load, seed ^ ARRIVAL_SALT);
-        let points = cfg.control.controller.pricing_points();
-        let tables: Vec<CostTable> = fleet
-            .iter()
-            .map(|b| CostTable::build(b.as_ref(), &self.gen, &points))
-            .collect::<Result<_, _>>()?;
-        let est = Estimates::from_tables(&tables);
-        let overhead_ns = cfg.batch_overhead_us.saturating_mul(1_000);
-
-        let mut state = SimState {
-            ledger: OutcomeLedger::new(cfg.outcome_capture),
-            timeline: TimelineAcc::new(epoch_ns),
-            queue: LatencyHistogram::new(),
-            compute: LatencyHistogram::new(),
-            total: LatencyHistogram::new(),
-            completed: 0,
-            dropped: 0,
-            slo_violations: 0,
-            per_shard_completed: vec![0; fleet_size],
-            shard_free: vec![0; fleet_size],
-            makespan_ns: 0,
-            energy: EnergyBreakdown::ZERO,
-            dense_flops: 0,
-            events: EventList::new(fleet_size),
-            inflight_members: 0,
-            peak_inflight: 0,
-            epochs_stepped: 0,
-            epochs_skipped: 0,
-            ep_arrivals: 0,
-            ep_dropped: 0,
-            ep_completed: 0,
-            ep_slo: 0,
-            obs: Obs::new(&cfg.obs, seed, fleet_size, true),
-            scratch_members: Vec::new(),
-            scratch_results: Vec::new(),
-        };
-        let mut queue = AdmissionQueue::new(cfg.queue_capacity, cfg.drop);
-        let mut batches = 0u64;
-        let mut batched_requests = 0u64;
-        let mut ttft_hist = LatencyHistogram::new();
-        let mut tbt_hist = LatencyHistogram::new();
-        let mut iterations = 0u64;
-        let mut evictions = 0u64;
-        let mut ttft_violations = 0u64;
-        let mut tbt_violations = 0u64;
-
-        // Live session state. Everything iterated on a digest path is a
-        // BTree so iteration order is the key order, never hash order.
-        let mut sessions: BTreeMap<u64, SessionLive> = BTreeMap::new();
-        // Per shard: decode steps whose think time has (or will have)
-        // elapsed, keyed `(ready_ns, id)` — the settle order within a
-        // batch's decode segment.
-        let mut ready: Vec<BTreeSet<(u64, u64)>> =
-            (0..fleet_size).map(|_| BTreeSet::new()).collect();
-        // Per shard: resident sessions keyed `(last_settle_ns, id)` —
-        // eviction order under the state budget.
-        let mut lru: Vec<BTreeSet<(u64, u64)>> = (0..fleet_size).map(|_| BTreeSet::new()).collect();
-        let mut pending_decodes = 0usize;
-
-        if let Some(t0) = stream.next() {
-            state.events.set_arrival(t0, 0);
-        }
-        let gen = &self.gen;
-        let queued = |id: u64, arrival_ns: u64| {
-            let scenario = gen.request_scenario(id);
-            let slo = gen.request_slo(id);
-            QueuedRequest {
-                id,
-                arrival_ns,
-                scenario,
-                slo,
-                est_cost_ns: est.scenario_cost_ns[scenario],
-                deadline_ns: arrival_ns.saturating_add(slo.deadline_ns()),
-            }
-        };
-        let est_batch_ns: Vec<u64> = (0..fleet_size)
-            .map(|shard| {
-                overhead_ns
-                    .saturating_add(est.shard_cost_ns[shard].saturating_mul(cfg.max_batch as u64))
-            })
-            .collect();
-        let all_active: Vec<bool> = vec![true; fleet_size];
-        let mut views: Vec<ShardView> = Vec::with_capacity(fleet_size);
-        // Distinct sessions per batch: the whole batch becomes resident
-        // at settle, so it must itself fit the state budget.
-        let cap = if budget > 0 { cfg.max_batch.min(budget) } else { cfg.max_batch };
-
-        loop {
-            let have_prefill = !queue.is_empty() || state.events.arrival().is_some();
-            if !have_prefill && pending_decodes == 0 {
-                break;
-            }
-            // Earliest decode dispatch over the fleet: each shard's first
-            // ready step, bounded below by the shard's free time; ties go
-            // to the lower shard.
-            let mut decode_at: Option<(u64, usize)> = None;
-            for (s, rdy) in ready.iter().enumerate() {
-                if let Some(&(rn, _)) = rdy.iter().next() {
-                    let t = rn.max(state.shard_free[s]);
-                    let better = match decode_at {
-                        None => true,
-                        Some((bt, _)) => t < bt,
-                    };
-                    if better {
-                        decode_at = Some((t, s));
-                    }
-                }
-            }
-            // Earliest prefill dispatch: pending work bounded below by
-            // the earliest free shard (the router picks the shard).
-            let prefill_at = if have_prefill {
-                let pending = queue
-                    .front()
-                    .map(|r| r.arrival_ns)
-                    .or_else(|| state.events.arrival().map(|(t, _)| t))
-                    .unwrap_or(0);
-                let min_free = state.shard_free.iter().copied().min().unwrap_or(0);
-                Some(min_free.max(pending))
-            } else {
-                None
-            };
-            // A due decode step wins ties: the resident session continues
-            // before new work claims the shard.
-            let (t_start, shard) = match (decode_at, prefill_at) {
-                (Some((td, s)), Some(tp)) if td <= tp => (td, s),
-                (Some((td, s)), None) => (td, s),
-                (None, Some(tp)) | (Some(_), Some(tp)) => {
-                    fill_views(&mut views, &all_active, &state.shard_free, &est_batch_ns, &est);
-                    let pos = router.route(batches, tp, &views);
-                    let s = views[pos].shard;
-                    (tp.max(state.shard_free[s]), s)
-                }
-                (None, None) => break,
-            };
-
-            // Admission: everything that arrived by the batch start faces
-            // the bounded queue and its drop policy.
-            while state.events.arrival().is_some_and(|(t, _)| t <= t_start) {
-                let (t_arr, id) = next_arrival(&mut state.events, &mut stream, n_requests);
-                let req = queued(id, t_arr);
-                let verdict = queue.offer(req);
-                state.record_admission(&req, verdict, queue.len());
-            }
-
-            // Batch formation: due decode steps of this shard first, in
-            // `(ready_ns, id)` order — they already hold state here —
-            // then prefills admitted by the scheduler into the remaining
-            // slots (iteration-level continuous batching).
-            let mut decode_members: Vec<(u64, u64)> = Vec::new();
-            while decode_members.len() < cap {
-                let due = ready[shard].iter().next().copied().filter(|&(rn, _)| rn <= t_start);
-                let Some((rn, id)) = due else { break };
-                ready[shard].remove(&(rn, id));
-                pending_decodes -= 1;
-                decode_members.push((rn, id));
-            }
-            let mut members = state.scratch_members.pop().unwrap_or_default();
-            let slots = cap.saturating_sub(decode_members.len());
-            if slots > 0 && !queue.is_empty() {
-                scheduler.admit_into(&mut queue, slots, t_start, &mut members);
-            }
-            if decode_members.is_empty() && members.is_empty() {
-                // Nothing dispatchable this instant (every arrival up to
-                // t_start was dropped); recycle and re-evaluate.
-                state.scratch_members.push(members);
-                continue;
-            }
-
-            // State budget: the batch's sessions stay resident through
-            // the step; evict the least-recently-settled residents not
-            // riding this batch until everyone fits.
-            if !gang && budget > 0 {
-                let mut batch_ids: BTreeSet<u64> = BTreeSet::new();
-                for &(_, id) in &decode_members {
-                    batch_ids.insert(id);
-                }
-                for m in &members {
-                    batch_ids.insert(m.id);
-                }
-                let newcomers = members.len()
-                    + decode_members
-                        .iter()
-                        .filter(|&&(_, id)| sessions.get(&id).is_some_and(|s| !s.resident))
-                        .count();
-                let excess = (lru[shard].len() + newcomers).saturating_sub(budget);
-                if excess > 0 {
-                    let victims: Vec<(u64, u64)> = lru[shard]
-                        .iter()
-                        .filter(|&&(_, id)| !batch_ids.contains(&id))
-                        .take(excess)
-                        .copied()
-                        .collect();
-                    for (ls, id) in victims {
-                        lru[shard].remove(&(ls, id));
-                        if let Some(sess) = sessions.get_mut(&id) {
-                            sess.resident = false;
-                            sess.needs_prefill = true;
-                        }
-                        evictions += 1;
-                        state.obs.on_evicted(t_start, id);
-                    }
-                }
-            }
-
-            let size = decode_members.len() + members.len();
-            batched_requests += size as u64;
-            state.obs.on_dispatch(t_start, batches, shard, size, DvfsPoint::NOMINAL);
-            for &(_, id) in &decode_members {
-                state.obs.on_scheduled(t_start, id, batches, shard);
-            }
-            for m in &members {
-                state.obs.on_scheduled(t_start, m.id, batches, shard);
-            }
-            state.note_live(queue.len() + sessions.len());
-
-            // Per-iteration settle path: synchronous, in batch order.
-            let backend = fleet[shard].as_ref();
-            let mut t = t_start + overhead_ns;
-            for &(rn, id) in &decode_members {
-                iterations += 1;
-                state.obs.on_iteration();
-                let mut finished = false;
-                if let Some(sess) = sessions.get_mut(&id) {
-                    let out = backend.decode_output(&sess.prefill, sess.next_iter as u64);
-                    let recompute = sess.needs_prefill;
-                    t += out.cost_ns;
-                    let mut step_energy = out.energy;
-                    let mut step_flops = out.dense_flops as u128;
-                    if recompute {
-                        // The evicted state rebuilds: this step pays the
-                        // prefill again in time, energy and FLOPs (the
-                        // response bits are unchanged — recompute is
-                        // deterministic).
-                        t += sess.prefill.cost_ns;
-                        step_energy += sess.prefill.energy;
-                        step_flops += sess.prefill.dense_flops as u128;
-                    }
-                    let tbt = t - rn;
-                    tbt_hist.record(tbt);
-                    if tbt > sess.slo.streaming_budgets().tbt_ns {
-                        tbt_violations += 1;
-                        sess.violated = true;
-                    }
-                    state.compute.record(t - t_start);
-                    sess.digest = crate::backend::fnv_fold(sess.digest, out.digest);
-                    sess.energy += step_energy;
-                    sess.flops += step_flops;
-                    sess.needs_prefill = false;
-                    if sess.resident {
-                        lru[shard].remove(&(sess.last_settle_ns, id));
-                    }
-                    sess.last_settle_ns = t;
-                    sess.resident = true;
-                    lru[shard].insert((t, id));
-                    sess.next_iter += 1;
-                    state.obs.on_settle(
-                        t,
-                        id,
-                        shard,
-                        batches,
-                        tbt,
-                        t - t_start,
-                        sess.violated,
-                        step_energy.total_pj(),
-                    );
-                    finished = sess.next_iter >= sess.len;
-                    if !finished {
-                        let think = profile.think_ns(seed, id, sess.next_iter);
-                        ready[shard].insert((t.saturating_add(think), id));
-                        pending_decodes += 1;
-                    }
-                }
-                if finished {
-                    if let Some(sess) = sessions.remove(&id) {
-                        lru[shard].remove(&(sess.last_settle_ns, id));
-                        finalize_session(&mut state, shard, batches, id, t, &sess);
-                    }
-                }
-            }
-            let mut results = state.scratch_results.pop().unwrap_or_default();
-            results.extend(members.iter().map(|m| exec_request(gen, backend, m.id, m.scenario)));
-            for (m, res) in members.iter().zip(results.drain(..)) {
-                iterations += 1;
-                state.obs.on_iteration();
-                let out = res?;
-                t += out.cost_ns;
-                let queue_ns = t_start - m.arrival_ns;
-                let ttft = t - m.arrival_ns;
-                state.queue.record(queue_ns);
-                state.compute.record(t - t_start);
-                ttft_hist.record(ttft);
-                let budgets = m.slo.streaming_budgets();
-                let ttft_violated = ttft > budgets.ttft_ns;
-                if ttft_violated {
-                    ttft_violations += 1;
-                }
-                state.obs.on_settle(
-                    t,
-                    m.id,
-                    shard,
-                    batches,
-                    queue_ns,
-                    t - t_start,
-                    ttft_violated,
-                    out.energy.total_pj(),
-                );
-                let len = profile.session_len(seed, m.id);
-                if gang {
-                    // Gang scheduling: the session holds its batch slot
-                    // from prefill to completion; decode steps and think
-                    // times serialize on the shard.
-                    let mut digest = if len <= 1 {
-                        out.digest
-                    } else {
-                        crate::backend::fnv_fold(crate::backend::FNV_OFFSET, out.digest)
-                    };
-                    let mut energy = out.energy;
-                    let mut flops = out.dense_flops as u128;
-                    let mut violated = ttft_violated;
-                    for iter in 1..len {
-                        iterations += 1;
-                        state.obs.on_iteration();
-                        let rn = t.saturating_add(profile.think_ns(seed, m.id, iter));
-                        t = rn;
-                        let dout = backend.decode_output(&out, iter as u64);
-                        t += dout.cost_ns;
-                        let tbt = t - rn;
-                        tbt_hist.record(tbt);
-                        if tbt > budgets.tbt_ns {
-                            tbt_violations += 1;
-                            violated = true;
-                        }
-                        state.compute.record(t - t_start);
-                        digest = crate::backend::fnv_fold(digest, dout.digest);
-                        energy += dout.energy;
-                        flops += dout.dense_flops as u128;
-                        state.obs.on_settle(
-                            t,
-                            m.id,
-                            shard,
-                            batches,
-                            tbt,
-                            t - t_start,
-                            violated,
-                            dout.energy.total_pj(),
-                        );
-                    }
-                    let sess = SessionLive {
-                        scenario: m.scenario,
-                        slo: m.slo,
-                        arrival_ns: m.arrival_ns,
-                        len,
-                        next_iter: len,
-                        prefill: out,
-                        needs_prefill: false,
-                        resident: false,
-                        last_settle_ns: t,
-                        digest,
-                        energy,
-                        flops,
-                        queue_ns,
-                        violated,
-                    };
-                    finalize_session(&mut state, shard, batches, m.id, t, &sess);
-                } else if len <= 1 {
-                    // A single-iteration session is exactly a legacy
-                    // request: digest word `d0`, total == TTFT.
-                    let sess = SessionLive {
-                        scenario: m.scenario,
-                        slo: m.slo,
-                        arrival_ns: m.arrival_ns,
-                        len: 1,
-                        next_iter: 1,
-                        digest: out.digest,
-                        energy: out.energy,
-                        flops: out.dense_flops as u128,
-                        prefill: out,
-                        needs_prefill: false,
-                        resident: false,
-                        last_settle_ns: t,
-                        queue_ns,
-                        violated: ttft_violated,
-                    };
-                    finalize_session(&mut state, shard, batches, m.id, t, &sess);
-                } else {
-                    let think = profile.think_ns(seed, m.id, 1);
-                    ready[shard].insert((t.saturating_add(think), m.id));
-                    pending_decodes += 1;
-                    lru[shard].insert((t, m.id));
-                    sessions.insert(
-                        m.id,
-                        SessionLive {
-                            scenario: m.scenario,
-                            slo: m.slo,
-                            arrival_ns: m.arrival_ns,
-                            len,
-                            next_iter: 1,
-                            digest: crate::backend::fnv_fold(
-                                crate::backend::FNV_OFFSET,
-                                out.digest,
-                            ),
-                            energy: out.energy,
-                            flops: out.dense_flops as u128,
-                            prefill: out,
-                            needs_prefill: false,
-                            resident: true,
-                            last_settle_ns: t,
-                            queue_ns,
-                            violated: ttft_violated,
-                        },
-                    );
-                }
-            }
-            state.scratch_results.push(results);
-            members.clear();
-            state.scratch_members.push(members);
-            state.shard_free[shard] = t;
-            state.makespan_ns = state.makespan_ns.max(t);
-            batches += 1;
-        }
-        debug_assert!(sessions.is_empty(), "sessions left live: {}", sessions.len());
-        debug_assert_eq!(
-            state.completed + state.dropped,
-            n_requests,
-            "session engine lost requests"
-        );
-
-        let SimState {
-            ledger,
-            timeline,
-            queue: queue_hist,
-            compute,
-            total,
-            completed,
-            dropped,
-            slo_violations,
-            per_shard_completed,
-            makespan_ns,
-            energy,
-            dense_flops,
-            events,
-            peak_inflight,
-            obs,
-            ..
-        } = state;
-        let (digest, outcomes, peak_reorder) = ledger.finish(n_requests);
-        let clock = DvfsPoint::NOMINAL;
-        let epoch_states = vec![(
-            0,
-            EpochFleetState {
-                active_shards: cfg.shards,
-                clock,
-                idle_mw: fleet_idle_mw(&tables, &all_active, clock),
-            },
-        )];
-        let timeline = timeline.finalize(makespan_ns, &epoch_states);
-        let static_energy_pj = timeline.iter().map(|e| e.static_pj).sum();
-        let live = LiveStats {
-            peak_inflight,
-            peak_events: events.peak_depth() as u64,
-            peak_reorder,
-            // The session engine runs no control loop: no boundary is
-            // ever stepped or skipped.
-            epochs_stepped: 0,
-            epochs_skipped: 0,
-        };
-
-        Ok(ServeReport {
-            backend: fleet_label(fleet),
-            config: cfg.clone(),
-            completed,
-            dropped,
-            slo_violations,
-            iterations,
-            evictions,
-            ttft_violations,
-            tbt_violations,
-            batches,
-            batched_requests,
-            queue: queue_hist,
-            compute,
-            total,
-            ttft: ttft_hist,
-            tbt: tbt_hist,
-            makespan_ns,
-            energy,
-            dense_flops,
-            digest,
-            outcomes,
-            per_shard_completed,
-            live,
-            timeline,
-            static_energy_pj,
-            obs: obs.finish(),
-        })
-    }
-}
-
-/// One session mid-flight in the session engine: its static draw, the
-/// settled prefill output (the pricing base for every decode step), and
-/// the accumulators its final settle folds into the report.
-struct SessionLive {
-    scenario: usize,
-    slo: SloClass,
-    arrival_ns: u64,
-    /// Total iterations ([`defa_model::workload::SessionProfile::session_len`]).
-    len: u32,
-    /// The next iteration to settle (0 is the prefill).
-    next_iter: u32,
-    /// The settled prefill output: decode steps derive from it, and a
-    /// post-eviction recompute re-prices it.
-    prefill: BackendOutput,
-    /// Evicted since the last step: the next step pays the prefill again.
-    needs_prefill: bool,
-    /// Holds a state slot on its shard (tracked in the shard's LRU set).
-    resident: bool,
-    last_settle_ns: u64,
-    /// FNV fold over the iteration digests (the raw prefill digest for a
-    /// single-iteration session, matching the legacy engine's word).
-    digest: u64,
-    energy: EnergyBreakdown,
-    flops: u128,
-    /// Prefill admission wait (first batch start − arrival).
-    queue_ns: u64,
-    /// Blew its TTFT budget or any decode step blew its TBT budget.
-    violated: bool,
-}
-
-/// Folds a finished session into the report accumulators: one ledger
-/// word, one completion, one total-latency sample — sessions, not
-/// iterations, are the unit every aggregate counts.
-fn finalize_session(
-    state: &mut SimState,
-    shard: usize,
-    batch: u64,
-    id: u64,
-    t: u64,
-    sess: &SessionLive,
-) {
-    let total_ns = t.saturating_sub(sess.arrival_ns);
-    state.total.record(total_ns);
-    state.completed += 1;
-    state.ep_completed += 1;
-    state.per_shard_completed[shard] += 1;
-    if sess.violated {
-        state.slo_violations += 1;
-        state.ep_slo += 1;
-    }
-    state.energy += sess.energy;
-    state.dense_flops += sess.flops;
-    if state.ledger.captures(id) {
-        state.ledger.capture(
-            id,
-            RequestOutcome::Completed {
-                scenario: sess.scenario,
-                slo: sess.slo,
-                arrival_ns: sess.arrival_ns,
-                digest: sess.digest,
-                shard,
-                batch,
-                queue_ns: sess.queue_ns,
-                // Everything after admission — compute, think times,
-                // per-step waits — so queue + compute spans the session.
-                compute_ns: total_ns.saturating_sub(sess.queue_ns),
-                energy: sess.energy,
-            },
-        );
-    }
-    state.timeline.arrival(sess.arrival_ns);
-    state.timeline.completion(t, sess.energy, sess.violated);
-    state.ledger.record(id, sess.digest);
-}
-
-/// Rebuilds the routable shard views — one per *active* shard, in shard
-/// order — into the reused `views` buffer.
-#[inline(always)]
-fn fill_views(
-    views: &mut Vec<ShardView>,
-    active: &[bool],
-    shard_free: &[u64],
-    est_batch_ns: &[u64],
-    est: &Estimates,
-) {
-    views.clear();
-    for (shard, _) in active.iter().enumerate().filter(|(_, a)| **a) {
-        views.push(ShardView {
-            shard,
-            free_ns: shard_free[shard],
-            est_batch_ns: est_batch_ns[shard],
-            est_energy_pj: est.shard_energy_pj[shard],
-            est_prefill_ns: est.shard_prefill_ns[shard],
-            est_decode_ns: est.shard_decode_ns[shard],
-        });
+        state.into_report(fleet, cfg, batches, batched_requests, &ctl.states)
     }
 }
 
@@ -1915,6 +1119,7 @@ mod tests {
     use super::*;
     use crate::admission::DropPolicy;
     use crate::backend::BackendKind;
+    use crate::energy::EnergyBreakdown;
     use crate::loadgen::ArrivalProcess;
     use crate::router::RouterKind;
     use crate::scheduler::SchedulerKind;
@@ -1940,7 +1145,7 @@ mod tests {
         rt.serve(&ServeSpec::fleet(fleet, cfg))
     }
 
-    /// A session profile that exercises the session engine: short
+    /// A session profile that exercises session state: short
     /// multi-iteration sessions with sub-epoch think times.
     fn chatty(cfg: &ServeConfig) -> ServeConfig {
         ServeConfig {
@@ -2259,19 +1464,6 @@ mod tests {
         {
             assert!(s.contains(key), "missing {key} in:\n{s}");
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_spec_entry_point() {
-        let rt = runtime();
-        let backend = BackendKind::Pruned.build();
-        let cfg = ServeConfig::at_load(1_500.0, 12);
-        let via_spec = serve(&rt, &backend, &cfg).unwrap();
-        assert_eq!(rt.run(&backend, &cfg).unwrap(), via_spec);
-        let fleet = vec![Arc::clone(&backend)];
-        let one = ServeConfig { shards: 1, ..cfg };
-        assert_eq!(rt.run_fleet(&fleet, &one).unwrap(), serve_fleet(&rt, fleet, &one).unwrap());
     }
 
     #[test]

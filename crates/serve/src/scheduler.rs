@@ -72,9 +72,9 @@ pub trait Scheduler: Send + Sync {
 
     /// Iteration-level admission: fills up to `slots` free positions of a
     /// batch that is *already forming* — the continuous-batching hook the
-    /// session engine calls between iterations, after due decode steps
-    /// have claimed their places, so new sessions join a shard's batch
-    /// between steps instead of waiting for the shard to drain.
+    /// engine calls for iteration-level batches, after due decode steps have
+    /// claimed their places, so new sessions join a shard's batch between
+    /// steps instead of waiting for the shard to drain.
     ///
     /// Appends to `out` without clearing (the buffer already holds the
     /// decode members). The default admits in exactly the policy's

@@ -13,14 +13,18 @@
 //! * the claims the `autoscale` bench prints are real: the autoscaler
 //!   strictly cuts drops on a surge that swamps a static fleet, and the
 //!   DVFS governor strictly cuts average power (incl. static) on an
-//!   idle-heavy trace at bounded p99 cost.
+//!   idle-heavy trace at bounded p99 cost;
+//! * multi-turn sessions ride the same control loop: every controller
+//!   conserves sessions, and the DVFS governor cuts average power on a
+//!   diurnal session trace too.
 
 use defa_model::workload::RequestGenerator;
 use defa_model::MsdaConfig;
 use defa_parallel::with_num_threads;
 use defa_serve::{
     ArrivalProcess, AutoscalerConfig, BackendKind, ControlConfig, ControllerKind, DvfsConfig,
-    DvfsPoint, RateSegment, RequestOutcome, ServeConfig, ServeRuntime, TraceSchedule,
+    DvfsPoint, RateSegment, RequestOutcome, ServeConfig, ServeRuntime, SessionConfig,
+    SessionProfile, TraceSchedule,
 };
 
 fn runtime(seed: u64) -> ServeRuntime {
@@ -90,6 +94,20 @@ fn diurnal_config(rt: &ServeRuntime, controller: ControllerKind) -> ServeConfig 
         arrival: ArrivalProcess::Trace(trace),
         control: ControlConfig { epoch_us: us_for(1.0, base), max_shards: 0, controller },
         ..ServeConfig::at_load(base, 96)
+    }
+}
+
+/// Multi-turn sessions under a per-shard state budget: 3–6 iterations
+/// with sub-epoch think times, so decode steps interleave with prefills
+/// and evictions across epoch boundaries.
+fn chat(cfg: ServeConfig) -> ServeConfig {
+    ServeConfig {
+        sessions: SessionConfig {
+            profile: SessionProfile { min_len: 3, max_len: 6, think_mean_us: 200 },
+            state_budget: 4,
+            gang: false,
+        },
+        ..cfg
     }
 }
 
@@ -271,6 +289,77 @@ fn dvfs_cuts_average_power_at_bounded_p99_cost_on_an_idle_heavy_trace() {
         dvfs_floor * 4 <= fixed_floor,
         "idle-epoch power must fall multiples: {dvfs_floor} vs {fixed_floor} mW"
     );
+}
+
+/// Property: sessions keep conservation under every controller — each
+/// session settles or is shed exactly once, every completed session ran
+/// at least `min_len` iterations, and the timeline still reproduces the
+/// report totals — and a controlled session run is byte-identical across
+/// worker-thread counts.
+#[test]
+fn every_controller_conserves_sessions() {
+    let rt = runtime(42);
+    for make_cfg in [surge_config, diurnal_config] {
+        for controller in [
+            ControllerKind::NoOp,
+            ControllerKind::Autoscaler(surge_autoscaler()),
+            ControllerKind::Dvfs(DvfsConfig::default()),
+        ] {
+            let cfg = chat(make_cfg(&rt, controller.clone()));
+            let report = serve(&rt, &BackendKind::Accelerator.build(), &cfg).unwrap();
+            let ctx = format!("{} on {}", controller.name(), cfg.arrival.label());
+            assert_eq!(report.completed + report.dropped, 96, "{ctx}: conservation");
+            assert!(report.iterations >= 3 * report.completed, "{ctx}: iterations");
+            assert_eq!(report.ttft.count(), report.completed, "{ctx}: one TTFT per session");
+            let t = &report.timeline;
+            assert_eq!(t.iter().map(|e| e.arrivals).sum::<u64>(), 96, "{ctx}: epoch arrivals");
+            assert_eq!(
+                t.iter().map(|e| e.completed).sum::<u64>(),
+                report.completed,
+                "{ctx}: epoch completions"
+            );
+            assert_eq!(
+                t.iter().fold(defa_serve::EnergyBreakdown::ZERO, |acc, e| acc + e.energy),
+                report.energy,
+                "{ctx}: epoch energy"
+            );
+            assert!(report.live.epochs_stepped > 0, "{ctx}: the control loop never stepped");
+        }
+    }
+    let cfg = chat(surge_config(&rt, ControllerKind::Autoscaler(surge_autoscaler())));
+    let backend = BackendKind::Accelerator.build();
+    let one = with_num_threads(1, || serve(&runtime(42), &backend, &cfg).unwrap());
+    let four = with_num_threads(4, || serve(&runtime(42), &backend, &cfg).unwrap());
+    assert_eq!(one, four, "controlled session report diverged across thread counts");
+}
+
+/// The headline sessions gain from sharing the one-shot control loop: on
+/// the idle-heavy diurnal trace served as multi-turn sessions, the DVFS
+/// governor strictly cuts average power against the fixed-clock fleet,
+/// while re-pricing leaves every response bit unchanged.
+#[test]
+fn dvfs_cuts_average_power_on_a_diurnal_session_trace() {
+    let rt = runtime(42);
+    let backend = BackendKind::Accelerator.build();
+    let fixed = serve(&rt, &backend, &chat(diurnal_config(&rt, ControllerKind::NoOp))).unwrap();
+    let dvfs = serve(
+        &rt,
+        &backend,
+        &chat(diurnal_config(&rt, ControllerKind::Dvfs(DvfsConfig::default()))),
+    )
+    .unwrap();
+    assert_eq!(fixed.dropped, 0, "the calm session trace must not shed");
+    assert_eq!(dvfs.dropped, 0);
+    assert!(fixed.iterations > fixed.completed, "sessions must run decode steps");
+    let (slow, _) = dvfs.clock_range();
+    assert!(slow.freq_mhz < 400, "governor never left the nominal clock");
+    assert!(
+        dvfs.average_power_with_static_w() < fixed.average_power_with_static_w(),
+        "DVFS must cut average session power: {} vs {} W",
+        dvfs.average_power_with_static_w(),
+        fixed.average_power_with_static_w()
+    );
+    assert_eq!(dvfs.digest, fixed.digest, "re-pricing must not touch response bits");
 }
 
 /// Controlled runs keep the thread-count byte-identity contract: an

@@ -1,6 +1,6 @@
 //! Sessions as the unit of serving: the redesigned API's contract.
 //!
-//! * The legacy one-shot path **is** a session of length 1: running the
+//! * A one-shot request **is** a session of length 1: running the
 //!   serving stack with [`SessionProfile::ONE_SHOT`] spelled out
 //!   explicitly reproduces the PR 2 pinned reports byte-for-byte — same
 //!   digests, same makespans, same energy integers.
@@ -10,7 +10,7 @@
 //!   arrives.
 //! * Time-to-first-token never exceeds the session's total latency —
 //!   pointwise, hence also at every histogram quantile.
-//! * The session engine keeps the workspace determinism contract:
+//! * Session serving keeps the workspace determinism contract:
 //!   byte-identical reports across `RAYON_NUM_THREADS`, and continuous
 //!   batching strictly beats gang scheduling on TTFT p99 when a state
 //!   budget constrains the fleet.
@@ -46,8 +46,8 @@ fn chatty_sessions() -> SessionConfig {
     }
 }
 
-/// The default session configuration is the legacy engine: a one-shot
-/// profile that leaves the session path disabled entirely.
+/// The default session configuration is one-shot: no session ever
+/// outlives its prefill, so session state stays disabled entirely.
 #[test]
 fn default_session_config_is_the_one_shot_legacy_path() {
     let cfg = SessionConfig::default();
@@ -199,7 +199,7 @@ fn ttft_never_exceeds_total_latency_for_every_policy_combination() {
     }
 }
 
-/// The session engine keeps the workspace determinism contract: the full
+/// Session serving keeps the workspace determinism contract: the full
 /// report — TTFT/TBT histograms, evictions, span trace and all — is
 /// byte-identical across worker-thread counts.
 #[test]
