@@ -22,6 +22,21 @@ fn bench_pipeline(c: &mut Criterion) {
         })
     });
     group.finish();
+
+    // At small scale the masked stages, not fixed per-call costs, decide
+    // whether pruning beats the exact encoder.
+    let small =
+        SyntheticWorkload::generate(Benchmark::DeformableDetr, &MsdaConfig::small(), 1).unwrap();
+    let mut group = c.benchmark_group("encoder_small");
+    group
+        .bench_function("exact", |b| b.iter(|| run_encoder(std::hint::black_box(&small)).unwrap()));
+    group.bench_function("pruned_paper_defaults", |b| {
+        b.iter(|| {
+            run_pruned_encoder(std::hint::black_box(&small), &PruneSettings::paper_defaults())
+                .unwrap()
+        })
+    });
+    group.finish();
 }
 
 criterion_group!(benches, bench_pipeline);

@@ -35,11 +35,31 @@ pub struct Footprint {
     pub t1: f32,
 }
 
+/// `x.floor()`, bit for bit, without branches.
+///
+/// Without SSE4.1 `f32::floor` lowers to a software routine that branches
+/// on the exponent, sign and fraction — data-dependent branches that
+/// dominated the cost of a bilinear footprint. Below 2²³ in magnitude
+/// truncation through `i32` is exact and only negative non-integers need
+/// the `- 1`; at or above 2²³ (and for infinities and NaN) `x` is its own
+/// floor. `copysign` restores the sign of `-0.0`, the one input whose
+/// truncation loses it.
+#[inline]
+fn floor(x: f32) -> f32 {
+    let t = x as i32 as f32;
+    let t = if t > x { t - 1.0 } else { t };
+    if x.abs() < 8_388_608.0 {
+        t.copysign(x)
+    } else {
+        x
+    }
+}
+
 impl Footprint {
     /// Computes the footprint of a sample at continuous `(x, y)`.
     pub fn at(x: f32, y: f32) -> Self {
-        let x0 = x.floor();
-        let y0 = y.floor();
+        let x0 = floor(x);
+        let y0 = floor(y);
         let t1 = x - x0;
         let t0 = y - y0;
         let (x0, y0) = (x0 as i64, y0 as i64);
@@ -125,6 +145,49 @@ mod tests {
     use super::*;
 
     const SHAPE: LevelShape = LevelShape { h: 3, w: 4 };
+
+    #[test]
+    fn floor_matches_std_bit_for_bit() {
+        let edges = [
+            0.0f32,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            -1.5,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            -1e-45,
+            8_388_607.5,
+            -8_388_607.5,
+            8_388_608.0,
+            -8_388_608.0,
+            -8_388_609.0,
+            3e9,
+            -3e9,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let random = (0..100_000).map(|_| {
+            state = defa_tensor::rng::splitmix64(state);
+            f32::from_bits(state as u32)
+        });
+        for x in edges.into_iter().chain(random) {
+            if x.is_nan() {
+                assert!(floor(x).is_nan());
+            } else {
+                assert_eq!(floor(x).to_bits(), x.floor().to_bits(), "floor({x:e})");
+            }
+        }
+        for i in -4000..4000 {
+            let x = i as f32 / 64.0;
+            assert_eq!(floor(x).to_bits(), x.floor().to_bits(), "floor({x})");
+        }
+    }
 
     /// Single-channel level: value = 10*y + x for easy hand computation.
     fn level() -> Vec<f32> {

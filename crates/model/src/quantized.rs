@@ -6,7 +6,7 @@
 //! two paths must agree to within accumulation rounding, which the tests
 //! check — this is the software golden model for the hardware datapath.
 
-use crate::reference::{LayerOutput, MsdaLayer};
+use crate::reference::{generate_locations, LayerOutput, MsdaLayer};
 use crate::workload::SaliencyWarp;
 use crate::{FmapPyramid, ModelError};
 use defa_tensor::qlinear::matmul_q;
@@ -88,20 +88,7 @@ impl QuantizedLayer {
         }
 
         let (offsets, _) = matmul_q(&qx, &self.qw_offset)?;
-        let mut locations = Vec::with_capacity(n * cfg.points_per_query());
-        for i in 0..n {
-            let mut pts = crate::sampling::query_sample_points(
-                cfg,
-                self.layer.references()[i],
-                offsets.row(i)?,
-            );
-            if let Some(w) = warp {
-                for (slot, pt) in pts.iter_mut().enumerate() {
-                    w.apply(i, slot, pt);
-                }
-            }
-            locations.extend_from_slice(&pts);
-        }
+        let locations = generate_locations(cfg, self.layer.references(), &offsets, warp)?;
 
         let (value, _) = matmul_q(&qx, &self.qw_value)?;
         let output = self.layer.sample_and_aggregate(&probs, &locations, &value, None)?;

@@ -1,7 +1,9 @@
 //! Functional reference implementation of one MSDeformAttn layer (Eq. 1).
 
 use crate::bilinear::Footprint;
-use crate::sampling::{query_sample_points_into, reference_points, RefPoint, SamplePoint};
+use crate::sampling::{
+    for_each_kept, query_sample_points_into, reference_points, RefPoint, SamplePoint,
+};
 use crate::workload::SaliencyWarp;
 use crate::{FmapPyramid, ModelError, MsdaConfig};
 use defa_tensor::matmul::{matmul, matmul_row_masked};
@@ -22,12 +24,16 @@ const PAR_MIN_ELEMS: usize = 1 << 12;
 ///
 /// Queries are independent, so the table is filled in disjoint
 /// `points_per_query` windows in parallel; results are bit-identical for
-/// any thread count.
+/// any thread count. The warp's snapped slots come from its table of snap
+/// decisions, memoized on first use and equal to [`SaliencyWarp::apply`]
+/// on every point.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::ShapeMismatch`] if `offsets` does not have one
-/// row of `2·points_per_query` offsets per reference point.
+/// row of `2·points_per_query` offsets per reference point, or if `warp`
+/// was generated for a configuration other than `cfg` or for a different
+/// query count.
 pub fn generate_locations(
     cfg: &MsdaConfig,
     references: &[RefPoint],
@@ -43,14 +49,22 @@ pub fn generate_locations(
             2 * ppq
         )));
     }
+    if let Some(w) = warp {
+        if w.config() != cfg || n != cfg.n_in() {
+            return Err(ModelError::ShapeMismatch(format!(
+                "warp generated for {:?} applied to {n} queries of {:?}",
+                w.config().levels,
+                cfg.levels
+            )));
+        }
+    }
+    let table = warp.map(SaliencyWarp::table);
     let odata = offsets.as_slice();
     let mut locations = vec![SamplePoint::new(0, 0.0, 0.0); n * ppq];
     defa_parallel::par_chunks_mut_if(n * ppq >= PAR_MIN_ELEMS, &mut locations, ppq, |i, pts| {
         query_sample_points_into(cfg, references[i], &odata[i * 2 * ppq..(i + 1) * 2 * ppq], pts);
-        if let Some(w) = warp {
-            for (slot, pt) in pts.iter_mut().enumerate() {
-                w.apply(i, slot, pt);
-            }
+        if let Some(t) = table {
+            t.overwrite(i, pts);
         }
     });
     Ok(locations)
@@ -384,7 +398,6 @@ impl MsdaLayer {
         let dh = cfg.head_dim();
         let ppq = cfg.points_per_query();
         let lp = cfg.points_per_head();
-        let n_heads = cfg.n_heads;
         let vdata = value.as_slice();
         let pdata = probs.as_slice();
 
@@ -394,6 +407,19 @@ impl MsdaLayer {
             level_base.push(cfg.level_offset(l)?);
         }
         let level_base = &level_base[..];
+        // First output channel of each slot's head.
+        let slot_chan: Vec<usize> = (0..ppq).map(|slot| slot / lp * dh).collect();
+        let slot_chan = &slot_chan[..];
+
+        if let Some(pm) = point_mask {
+            if pm.len() != locations.len() {
+                return Err(ModelError::ShapeMismatch(format!(
+                    "point mask length {} expected {}",
+                    pm.len(),
+                    locations.len()
+                )));
+            }
+        }
 
         output.resize_reuse([n, d]);
         // Each query's aggregation walks ppq points x 4 neighbors x dh
@@ -402,37 +428,35 @@ impl MsdaLayer {
         defa_parallel::par_chunks_mut_if(parallel, output.as_mut_slice(), d, |i, orow_all| {
             orow_all.fill(0.0);
             let prow = &pdata[i * ppq..(i + 1) * ppq];
-            for h in 0..n_heads {
-                let chan0 = h * dh;
+            let qlocs = &locations[i * ppq..(i + 1) * ppq];
+            // Slots in increasing order: every head accumulates its own
+            // channels in the order of the unmasked loop, restricted to
+            // kept points.
+            let accumulate = |slot: usize| {
+                let w = prow[slot];
+                if w == 0.0 {
+                    return;
+                }
+                let chan0 = slot_chan[slot];
                 let orow = &mut orow_all[chan0..chan0 + dh];
-                for s in 0..lp {
-                    let slot = h * lp + s;
-                    let gslot = i * ppq + slot;
-                    if let Some(pm) = point_mask {
-                        if !pm[gslot] {
-                            continue;
-                        }
-                    }
-                    let w = prow[slot];
-                    if w == 0.0 {
+                let pt = qlocs[slot];
+                let shape = cfg.levels[pt.level as usize];
+                let base = level_base[pt.level as usize];
+                for nb in Footprint::at(pt.x, pt.y).in_bounds(shape) {
+                    if nb.weight == 0.0 {
                         continue;
                     }
-                    let pt = locations[gslot];
-                    let shape = cfg.levels[pt.level as usize];
-                    let base = level_base[pt.level as usize];
-                    let fp = Footprint::at(pt.x, pt.y);
-                    for nb in fp.in_bounds(shape) {
-                        if nb.weight == 0.0 {
-                            continue;
-                        }
-                        let token = base + nb.y as usize * shape.w + nb.x as usize;
-                        let px = &vdata[token * d + chan0..token * d + chan0 + dh];
-                        let ww = w * nb.weight;
-                        for (o, &v) in orow.iter_mut().zip(px) {
-                            *o += ww * v;
-                        }
+                    let token = base + nb.y as usize * shape.w + nb.x as usize;
+                    let px = &vdata[token * d + chan0..token * d + chan0 + dh];
+                    let ww = w * nb.weight;
+                    for (o, &v) in orow.iter_mut().zip(px) {
+                        *o += ww * v;
                     }
                 }
+            };
+            match point_mask {
+                Some(pm) => for_each_kept(&pm[i * ppq..(i + 1) * ppq], accumulate),
+                None => (0..ppq).for_each(accumulate),
             }
         });
         Ok(())

@@ -118,9 +118,51 @@ pub fn query_sample_points_into(
     }
 }
 
+/// Calls `f(i)` for every `i` with `keep[i]` set, in increasing order.
+///
+/// The mask is compacted 64 entries at a time into a bit word without
+/// branching, and only set bits are visited, so the cost follows the kept
+/// count instead of the mask length and no branch depends on the (random)
+/// mask pattern.
+#[inline]
+pub fn for_each_kept(keep: &[bool], mut f: impl FnMut(usize)) {
+    // Eight 0/1 bytes gather into one byte: the multiplier's shifted
+    // copies move byte `b` to bit `56 + b` with no carries.
+    let pack = |bytes: [u8; 8]| u64::from_le_bytes(bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+    for (c, chunk) in keep.chunks(64).enumerate() {
+        let octets = chunk.chunks_exact(8);
+        let tail = octets.remainder();
+        let mut bits = 0u64;
+        for (j, oct) in octets.enumerate() {
+            bits |= pack(std::array::from_fn(|b| u8::from(oct[b]))) << (8 * j);
+        }
+        if !tail.is_empty() {
+            let mut bytes = [0u8; 8];
+            for (byte, &k) in bytes.iter_mut().zip(tail) {
+                *byte = u8::from(k);
+            }
+            bits |= pack(bytes) << (chunk.len() - tail.len());
+        }
+        while bits != 0 {
+            f(c * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn for_each_kept_visits_set_entries_in_order() {
+        let keep: Vec<bool> = (0..200).map(|i| i % 3 == 0 || i == 127 || i == 199).collect();
+        let mut seen = Vec::new();
+        for_each_kept(&keep, |i| seen.push(i));
+        let expect: Vec<usize> = (0..200).filter(|&i| keep[i]).collect();
+        assert_eq!(seen, expect);
+        for_each_kept(&[], |_| unreachable!());
+    }
 
     #[test]
     fn reference_points_are_pixel_centers() {

@@ -16,10 +16,13 @@
 //!    (synthetic salient objects, fixed for the whole workload) that attract
 //!    a configurable fraction of sampling points via [`SaliencyWarp`].
 
+use std::sync::OnceLock;
+
 use crate::reference::{MsdaLayer, MsdaWeights};
 use crate::sampling::SamplePoint;
 use crate::{FmapPyramid, ModelError, MsdaConfig};
 use defa_tensor::rng::{splitmix64 as mix64, TensorRng};
+use defa_tensor::{QuantParams, Tensor};
 
 /// The three DAC-24 evaluation networks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,20 +127,94 @@ pub struct Hotspot {
 /// (plus jitter) or keeps its projected location. Hotspots are Zipf-weighted
 /// so a few of them dominate, reproducing the paper's skewed pixel-access
 /// frequency.
+///
+/// A warp is bound to the configuration it was generated for: the snap
+/// decision and snapped position of every `(query, slot)` of that
+/// configuration are memoized in a table built on first use.
 #[derive(Debug, Clone)]
 pub struct SaliencyWarp {
+    cfg: MsdaConfig,
     hotspots: Vec<Vec<Hotspot>>,
     hotspot_fraction: f32,
     jitter: f32,
     seed: u64,
+    table: OnceLock<WarpTable>,
+}
+
+/// Every snap decision of one [`SaliencyWarp`] over its configuration.
+///
+/// Decisions depend only on `(seed, query, slot)`, never on the offsets, so
+/// they are computed once per workload instead of once per point per
+/// request. Storage is one bit per slot plus the snapped `(x, y)` of each
+/// snapped slot in `(query, slot)` order — about 5 bytes per slot at the
+/// benchmarks' hotspot fractions.
+#[derive(Debug, Clone)]
+pub(crate) struct WarpTable {
+    /// `u64` words of snap bits per query.
+    words: usize,
+    /// Snap bits: slot `s` of query `i` is bit `s % 64` of word
+    /// `i · words + s / 64`.
+    snapped: Vec<u64>,
+    /// Index into `pos` of each query's first snapped slot.
+    first: Vec<usize>,
+    /// Snapped positions in `(query, slot)` order.
+    pos: Vec<[f32; 2]>,
+}
+
+impl WarpTable {
+    fn build(warp: &SaliencyWarp) -> Self {
+        let cfg = &warp.cfg;
+        let (n, ppq) = (cfg.n_in(), cfg.points_per_query());
+        let words = ppq.div_ceil(64);
+        let level = |s: usize| (s / cfg.n_points) % cfg.n_levels();
+        // Decisions first, so the positions are allocated at their exact
+        // size: the table lives as long as the workload.
+        let mut snapped = vec![0u64; n * words];
+        for (i, qbits) in snapped.chunks_mut(words).enumerate() {
+            for s in 0..ppq {
+                qbits[s / 64] |= u64::from(warp.snaps(i, s, level(s))) << (s % 64);
+            }
+        }
+        let total = snapped.iter().map(|w| w.count_ones() as usize).sum();
+        let mut first = Vec::with_capacity(n);
+        let mut pos = Vec::with_capacity(total);
+        for (i, qbits) in snapped.chunks(words).enumerate() {
+            first.push(pos.len());
+            for (w, &word) in qbits.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let s = w * 64 + bits.trailing_zeros() as usize;
+                    pos.extend(warp.snap(i, s, level(s)));
+                    bits &= bits - 1;
+                }
+            }
+        }
+        WarpTable { words, snapped, first, pos }
+    }
+
+    /// Overwrites the snapped slots of query `query`'s points.
+    ///
+    /// `pts` is the query's `points_per_query` window in slot order; the
+    /// result equals [`SaliencyWarp::apply`] on every slot.
+    #[inline]
+    pub(crate) fn overwrite(&self, query: usize, pts: &mut [SamplePoint]) {
+        let words = &self.snapped[query * self.words..(query + 1) * self.words];
+        let mut k = self.first[query];
+        for (w, &word) in words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let [x, y] = self.pos[k];
+                let pt = &mut pts[w * 64 + bits.trailing_zeros() as usize];
+                pt.x = x;
+                pt.y = y;
+                k += 1;
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 impl SaliencyWarp {
-    /// Creates a warp with explicit hotspot lists (one list per level).
-    pub fn new(hotspots: Vec<Vec<Hotspot>>, hotspot_fraction: f32, jitter: f32, seed: u64) -> Self {
-        SaliencyWarp { hotspots, hotspot_fraction, jitter, seed }
-    }
-
     /// Generates hotspots for a configuration: a handful per level,
     /// positioned uniformly at random.
     pub fn generate(
@@ -159,12 +236,30 @@ impl SaliencyWarp {
             }
             hotspots.push(level);
         }
-        SaliencyWarp { hotspots, hotspot_fraction: fraction, jitter, seed }
+        SaliencyWarp {
+            cfg: cfg.clone(),
+            hotspots,
+            hotspot_fraction: fraction,
+            jitter,
+            seed,
+            table: OnceLock::new(),
+        }
+    }
+
+    /// The configuration the warp was generated for.
+    pub(crate) fn config(&self) -> &MsdaConfig {
+        &self.cfg
     }
 
     /// Hotspot lists per level.
     pub fn hotspots(&self) -> &[Vec<Hotspot>] {
         &self.hotspots
+    }
+
+    /// Every snap decision over the warp's configuration, built on the
+    /// first call and memoized for the warp's lifetime.
+    pub(crate) fn table(&self) -> &WarpTable {
+        self.table.get_or_init(|| WarpTable::build(self))
     }
 
     fn unit(&self, query: usize, slot: usize, stream: u64) -> f32 {
@@ -181,16 +276,28 @@ impl SaliencyWarp {
     ///
     /// Deterministic in `(query, slot)`; the same pair always makes the
     /// same decision across encoder blocks, which is what gives FWP its
-    /// inter-block predictive power.
+    /// inter-block predictive power. This is the per-point reference the
+    /// memoized snap table reproduces.
     pub fn apply(&self, query: usize, slot: usize, pt: &mut SamplePoint) {
-        let level = pt.level as usize;
-        let spots = match self.hotspots.get(level) {
-            Some(s) if !s.is_empty() => s,
-            _ => return,
-        };
-        if self.unit(query, slot, 0) >= self.hotspot_fraction {
-            return;
+        if let Some([x, y]) = self.snap(query, slot, pt.level as usize) {
+            pt.x = x;
+            pt.y = y;
         }
+    }
+
+    /// Whether `(query, slot)` in `level` snaps to a hotspot.
+    fn snaps(&self, query: usize, slot: usize, level: usize) -> bool {
+        self.hotspots.get(level).is_some_and(|s| !s.is_empty())
+            && self.unit(query, slot, 0) < self.hotspot_fraction
+    }
+
+    /// The snapped position of `(query, slot)` in `level`, or `None` if the
+    /// point keeps its projected location.
+    fn snap(&self, query: usize, slot: usize, level: usize) -> Option<[f32; 2]> {
+        if !self.snaps(query, slot, level) {
+            return None;
+        }
+        let spots = self.hotspots.get(level)?;
         // Zipf-weighted hotspot choice: weight of spot k is 1/(k+1).
         let total: f32 = (0..spots.len()).map(|k| 1.0 / (k + 1) as f32).sum();
         let mut u = self.unit(query, slot, 1) * total;
@@ -206,8 +313,7 @@ impl SaliencyWarp {
         let spot = spots[chosen];
         let jx = (self.unit(query, slot, 2) - 0.5) * 2.0 * self.jitter;
         let jy = (self.unit(query, slot, 3) - 0.5) * 2.0 * self.jitter;
-        pt.x = spot.x + jx;
-        pt.y = spot.y + jy;
+        Some([spot.x + jx, spot.y + jy])
     }
 }
 
@@ -221,7 +327,15 @@ pub struct SyntheticWorkload {
     initial: FmapPyramid,
     warp: SaliencyWarp,
     seed: u64,
+    /// Fake-quantized layers per supported bit width, indexed by
+    /// `bits - MIN_QUANT_BITS` and built on first use.
+    quantized: [OnceLock<Result<Vec<MsdaLayer>, ModelError>>; QUANT_WIDTHS],
 }
+
+/// Smallest bit width [`QuantParams`] supports.
+const MIN_QUANT_BITS: u8 = 2;
+/// Number of supported bit widths (`2..=16`).
+const QUANT_WIDTHS: usize = 15;
 
 impl SyntheticWorkload {
     /// Generates a workload for one benchmark and configuration.
@@ -252,7 +366,15 @@ impl SyntheticWorkload {
 
         let initial = FmapPyramid::from_tensor(cfg, rng.uniform([cfg.n_in(), d], -1.0, 1.0))?;
         let warp = SaliencyWarp::generate(cfg, hotspot_fraction, 1.5, &mut rng, seed);
-        Ok(SyntheticWorkload { benchmark, cfg: cfg.clone(), layers, initial, warp, seed })
+        Ok(SyntheticWorkload {
+            benchmark,
+            cfg: cfg.clone(),
+            layers,
+            initial,
+            warp,
+            seed,
+            quantized: std::array::from_fn(|_| OnceLock::new()),
+        })
     }
 
     /// The benchmark this workload models.
@@ -297,6 +419,33 @@ impl SyntheticWorkload {
     pub fn warp(&self) -> &SaliencyWarp {
         &self.warp
     }
+
+    /// All encoder layers with INT-`bits` fake-quantized weights (a fitted
+    /// symmetric scale per weight tensor), built on the first call for
+    /// each bit width and memoized for the workload's lifetime.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::Tensor`] for a bit width outside `2..=16`.
+    pub fn quantized_layers(&self, bits: u8) -> Result<&[MsdaLayer], ModelError> {
+        // The quantizer's own check rejects unsupported widths.
+        QuantParams::new(1.0, bits)?;
+        let slot = &self.quantized[usize::from(bits - MIN_QUANT_BITS)];
+        slot.get_or_init(|| self.layers.iter().map(|l| quantize_layer(l, bits)).collect())
+            .as_deref()
+            .map_err(Clone::clone)
+    }
+}
+
+/// One layer with INT-`bits` fake-quantized weights.
+fn quantize_layer(layer: &MsdaLayer, bits: u8) -> Result<MsdaLayer, ModelError> {
+    let q = |t: &Tensor| -> Result<Tensor, ModelError> {
+        Ok(QuantParams::fit(t, bits)?.fake_quantize(t))
+    };
+    let w = layer.weights();
+    let weights =
+        MsdaWeights { w_attn: q(&w.w_attn)?, w_offset: q(&w.w_offset)?, w_value: q(&w.w_value)? };
+    MsdaLayer::new(layer.config().clone(), weights)
 }
 
 /// Service-level objective class of one request.

@@ -38,12 +38,19 @@ thread_local! {
     static HOLDS_OVERRIDE: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Runs `f` on a worker thread with the nested-parallelism guard set.
+/// Runs `f` with the nested-parallelism guard set — on a spawned worker,
+/// or on the calling thread while it works its own share of a helper
+/// call. The guard is cleared again even if `f` panics.
 fn as_worker<R>(f: impl FnOnce() -> R) -> R {
+    struct Clear;
+    impl Drop for Clear {
+        fn drop(&mut self) {
+            IN_WORKER.with(|w| w.set(false));
+        }
+    }
     IN_WORKER.with(|w| w.set(true));
-    let out = f();
-    IN_WORKER.with(|w| w.set(false));
-    out
+    let _clear = Clear;
+    f()
 }
 
 /// Process-wide thread-count override (0 = no override).
@@ -170,17 +177,26 @@ where
     let f = &f;
     thread::scope(|s| {
         let mut rest = data;
-        for (start, end) in partitions(n_chunks, threads) {
+        let parts = partitions(n_chunks, threads);
+        let last = parts.len() - 1;
+        for (k, (start, end)) in parts.into_iter().enumerate() {
             let split = ((end - start) * chunk_len).min(rest.len());
             let (mine, tail) = rest.split_at_mut(split);
             rest = tail;
-            s.spawn(move || {
+            let mut work = move || {
                 as_worker(|| {
                     for (i, chunk) in mine.chunks_mut(chunk_len).enumerate() {
                         f(start + i, chunk);
                     }
                 })
-            });
+            };
+            // The calling thread works the last range itself instead of
+            // idling in the join: one spawn fewer per call.
+            if k == last {
+                work();
+            } else {
+                s.spawn(work);
+            }
         }
     });
 }
@@ -222,16 +238,24 @@ where
     let f = &f;
     thread::scope(|s| {
         let mut rest = slots.as_mut_slice();
-        for (start, end) in partitions(len, threads) {
+        let parts = partitions(len, threads);
+        let last = parts.len() - 1;
+        for (k, (start, end)) in parts.into_iter().enumerate() {
             let (mine, tail) = rest.split_at_mut(end - start);
             rest = tail;
-            s.spawn(move || {
+            let mut work = move || {
                 as_worker(|| {
                     for (off, slot) in mine.iter_mut().enumerate() {
                         *slot = Some(f(start + off));
                     }
                 })
-            });
+            };
+            // As in `par_chunks_mut`: the caller works the last range.
+            if k == last {
+                work();
+            } else {
+                s.spawn(work);
+            }
         }
     });
     slots.into_iter().map(|s| s.expect("every slot filled")).collect()

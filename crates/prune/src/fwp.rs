@@ -8,6 +8,7 @@
 
 use crate::{BitMask, PruneError};
 use defa_model::bilinear::Footprint;
+use defa_model::sampling::for_each_kept;
 use defa_model::{MsdaConfig, SamplePoint};
 
 /// FWP hyperparameters.
@@ -112,11 +113,7 @@ impl SampleFrequency {
                     points.len()
                 )));
             }
-            for (pt, &k) in points.iter().zip(mask) {
-                if k {
-                    self.record(cfg, *pt);
-                }
-            }
+            for_each_kept(mask, |i| self.record(cfg, points[i]));
         } else {
             for pt in points {
                 self.record(cfg, *pt);

@@ -22,7 +22,7 @@ use crate::stats::ReductionStats;
 use crate::{BitMask, PruneError};
 use defa_model::encoder::block_update;
 use defa_model::flops::BlockFlops;
-use defa_model::reference::{LayerOutput, MsdaLayer, MsdaWeights};
+use defa_model::reference::LayerOutput;
 use defa_model::workload::SyntheticWorkload;
 use defa_model::{FmapPyramid, MsdaConfig};
 use defa_tensor::matmul::matmul;
@@ -88,25 +88,6 @@ pub struct PrunedRun {
     pub stats: ReductionStats,
     /// Per-block masks and counters.
     pub blocks: Vec<BlockPruneInfo>,
-}
-
-fn quantized_layers(wl: &SyntheticWorkload, bits: u8) -> Result<Vec<MsdaLayer>, PruneError> {
-    let mut layers = Vec::with_capacity(wl.layers().len());
-    for layer in wl.layers() {
-        let w = layer.weights();
-        let q = |t: &Tensor| -> Result<Tensor, PruneError> {
-            let params = QuantParams::fit(t, bits)
-                .map_err(|e| PruneError::InvalidParameter(e.to_string()))?;
-            Ok(params.fake_quantize(t))
-        };
-        let weights = MsdaWeights {
-            w_attn: q(&w.w_attn)?,
-            w_offset: q(&w.w_offset)?,
-            w_value: q(&w.w_value)?,
-        };
-        layers.push(MsdaLayer::new(layer.config().clone(), weights)?);
-    }
-    Ok(layers)
 }
 
 fn fake_quantize_features(x: &Tensor, bits: u8) -> Result<Tensor, PruneError> {
@@ -180,10 +161,7 @@ where
     let flops = BlockFlops::for_config(cfg);
     let ranges = settings.range_narrowing.then(|| RangeConfig::paper_defaults(cfg));
 
-    let quant_layers = match settings.quant_bits {
-        Some(bits) => Some(quantized_layers(wl, bits)?),
-        None => None,
-    };
+    let quant_layers = settings.quant_bits.map(|bits| wl.quantized_layers(bits)).transpose()?;
 
     let mut x = initial.clone();
     if let Some(bits) = settings.quant_bits {

@@ -178,12 +178,39 @@ pub fn clamp_locations(
             cfg.n_in() * ppq
         )));
     }
+    // Each (query, level) window is computed once, with the same f32
+    // expressions as `RangeConfig::clamp`, so every point clamps to the
+    // same bits.
+    let levels = cfg.n_levels().min(ranges.ranges.len());
+    let mut windows = vec![[0f32; 4]; levels];
     let mut moved = 0u64;
-    for (i, loc) in locations.iter_mut().enumerate() {
-        let query = i / ppq;
-        let (clamped, did_move) = ranges.clamp(cfg, references[query], *loc)?;
-        *loc = clamped;
-        moved += did_move as u64;
+    for (reference, qlocs) in references.iter().zip(locations.chunks_mut(ppq)) {
+        for ((window, range), &shape) in windows.iter_mut().zip(&ranges.ranges).zip(&cfg.levels) {
+            let (cx, cy) = reference.to_level(shape);
+            *window = [
+                cx - range.half_w as f32,
+                cx + range.half_w as f32,
+                cy - range.half_h as f32,
+                cy + range.half_h as f32,
+            ];
+        }
+        for loc in qlocs {
+            let Some(&[x0, x1, y0, y1]) = windows.get(loc.level as usize) else {
+                // No configured range (or no such level): the per-point
+                // clamp's error.
+                ranges.level(loc.level as usize)?;
+                return Err(PruneError::ShapeMismatch(format!(
+                    "level {} out of {}",
+                    loc.level,
+                    cfg.n_levels()
+                )));
+            };
+            let x = loc.x.clamp(x0, x1);
+            let y = loc.y.clamp(y0, y1);
+            moved += u64::from(x != loc.x || y != loc.y);
+            loc.x = x;
+            loc.y = y;
+        }
     }
     Ok(moved)
 }
