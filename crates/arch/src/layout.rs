@@ -33,6 +33,7 @@ impl BankMapping {
     ///
     /// Returns [`ArchError::OutOfRange`] in inter-level mode if `level`
     /// exceeds the `N_BANKS / 4` levels a 16-bank array can host.
+    #[inline]
     pub fn bank_of(&self, level: usize, y: i64, x: i64) -> Result<usize, ArchError> {
         // Negative coordinates (out-of-bounds bilinear neighbors) still get
         // a well-defined bank: the address generator computes them before
@@ -60,6 +61,7 @@ impl BankMapping {
     /// # Errors
     ///
     /// Same conditions as [`BankMapping::bank_of`].
+    #[inline]
     pub fn footprint_banks(&self, level: usize, y0: i64, x0: i64) -> Result<[usize; 4], ArchError> {
         Ok([
             self.bank_of(level, y0, x0)?,

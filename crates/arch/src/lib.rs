@@ -27,7 +27,6 @@ pub mod bi_datapath;
 pub mod compress;
 pub mod counters;
 pub mod dram;
-pub mod dram_timing;
 pub mod energy;
 pub mod error;
 pub mod layout;

@@ -77,6 +77,7 @@ impl PeArray {
     /// [`crate::BA_CHANNELS_PER_BEAT`] channels of all four points from the
     /// 16 banks, and a bank conflict stretches *every* beat of the group
     /// (the colliding footprints re-collide on each channel word).
+    #[inline]
     pub fn run_ba_group(
         &self,
         points: usize,

@@ -18,6 +18,9 @@ pub struct BankedSram {
     writes: u64,
     conflicts: u64,
     conflict_stalls: u64,
+    /// Per-bank request counts of the group being issued by
+    /// [`BankedSram::read_group`]; all zero between calls.
+    loads: Vec<u32>,
 }
 
 impl BankedSram {
@@ -32,7 +35,15 @@ impl BankedSram {
                 "banks ({n_banks}) and word width ({word_bits}) must be positive"
             )));
         }
-        Ok(BankedSram { n_banks, word_bits, reads: 0, writes: 0, conflicts: 0, conflict_stalls: 0 })
+        Ok(BankedSram {
+            n_banks,
+            word_bits,
+            reads: 0,
+            writes: 0,
+            conflicts: 0,
+            conflict_stalls: 0,
+            loads: vec![0; n_banks],
+        })
     }
 
     /// Number of banks.
@@ -46,31 +57,44 @@ impl BankedSram {
     }
 
     /// Issues one group of simultaneous single-word reads, given the target
-    /// bank of each request. Returns the cycles the group takes.
-    ///
-    /// A conflict-free group (each bank addressed at most once) takes one
-    /// cycle. Otherwise the group takes `max_load` cycles plus one
-    /// detection-stall cycle.
+    /// bank of each request. Returns the cycles the group takes, by the
+    /// rule of [`BankedSram::read_loads`].
     ///
     /// # Errors
     ///
     /// Returns [`ArchError::OutOfRange`] if any bank index is invalid.
     pub fn read_group(&mut self, banks: &[usize]) -> Result<u64, ArchError> {
-        let mut load = vec![0u64; self.n_banks];
-        for &b in banks {
-            if b >= self.n_banks {
-                return Err(ArchError::OutOfRange { what: "bank", index: b, len: self.n_banks });
-            }
-            load[b] += 1;
+        if let Some(&b) = banks.iter().find(|&&b| b >= self.n_banks) {
+            return Err(ArchError::OutOfRange { what: "bank", index: b, len: self.n_banks });
         }
-        self.reads += banks.len() as u64;
-        let max_load = load.iter().copied().max().unwrap_or(0);
+        let mut loads = std::mem::take(&mut self.loads);
+        for &b in banks {
+            loads[b] += 1;
+        }
+        let cycles = self.read_loads(&loads, banks.len() as u64);
+        loads.fill(0);
+        self.loads = loads;
+        Ok(cycles)
+    }
+
+    /// Issues one group of `requests` simultaneous single-word reads, given
+    /// how many of them target each bank (`loads[b]` for bank `b`). Returns
+    /// the cycles the group takes.
+    ///
+    /// A conflict-free group (each bank addressed at most once) takes one
+    /// cycle. Otherwise the group takes `max_load` cycles plus one
+    /// detection-stall cycle, and every bank addressed more than once
+    /// counts as one conflict.
+    #[inline]
+    pub fn read_loads(&mut self, loads: &[u32], requests: u64) -> u64 {
+        self.reads += requests;
+        let max_load = loads.iter().copied().max().unwrap_or(0);
         if max_load <= 1 {
-            Ok(1)
+            1
         } else {
-            self.conflicts += load.iter().filter(|&&l| l > 1).count() as u64;
+            self.conflicts += loads.iter().filter(|&&l| l > 1).count() as u64;
             self.conflict_stalls += 1;
-            Ok(max_load + 1)
+            u64::from(max_load) + 1
         }
     }
 
@@ -177,5 +201,29 @@ mod tests {
     fn empty_group_costs_one_idle_cycle() {
         let mut s = BankedSram::new(16, 12).unwrap();
         assert_eq!(s.read_group(&[]).unwrap(), 1);
+    }
+
+    /// `read_loads` on a group's per-bank counts must cost the same cycles
+    /// and leave the same bookkeeping as `read_group` on its bank list.
+    fn assert_loads_match_group(banks: &[usize]) {
+        let mut by_group = BankedSram::new(16, 12).unwrap();
+        let mut by_loads = by_group.clone();
+        let mut loads = [0u32; 16];
+        for &b in banks {
+            loads[b] += 1;
+        }
+        for _ in 0..2 {
+            let want = by_group.read_group(banks).unwrap();
+            assert_eq!(by_loads.read_loads(&loads, banks.len() as u64), want, "{banks:?}");
+            assert_eq!(by_loads, by_group, "{banks:?}");
+        }
+    }
+
+    #[test]
+    fn read_loads_matches_read_group() {
+        assert_loads_match_group(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]);
+        assert_loads_match_group(&[5, 5, 5, 1]);
+        assert_loads_match_group(&[0, 0, 1, 1, 1, 7]);
+        assert_loads_match_group(&[]);
     }
 }

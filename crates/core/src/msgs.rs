@@ -16,10 +16,16 @@
 //! operator fusion (sampling values never round-trip through SRAM/DRAM)
 //! and fmap reuse (bounded-range row buffers instead of per-query window
 //! refetch).
+//!
+//! The simulation's host cost follows the kept points and the groups they
+//! fill, not the slots: each query tile's keep mask is walked as packed
+//! bits, every kept point adds its footprint to its group's per-bank
+//! request counts, and only non-empty groups are issued.
 
 use crate::CoreError;
 use defa_arch::{BankMapping, BankedSram, Dram, EventCounters, PeArray, N_BANKS, PRECISION_BITS};
 use defa_model::bilinear::Footprint;
+use defa_model::sampling::for_each_kept;
 use defa_model::{MsdaConfig, SamplePoint};
 use defa_prune::RangeConfig;
 
@@ -154,11 +160,21 @@ impl MsgsEngine {
         let dh = cfg.head_dim();
 
         // --- Sampling-point pipeline (query-tile parallel) ----------------
+        // Group of each slot within a (query, head) slice: inter-level
+        // groups take point `p` of every level, intra-level groups the
+        // `N_p` points of level `l`.
+        let n_points = cfg.n_points;
+        let group_of: Vec<usize> = (0..cfg.points_per_head())
+            .map(|o| match self.settings.mapping {
+                BankMapping::InterLevel => o % n_points,
+                BankMapping::IntraLevel => o / n_points,
+            })
+            .collect();
         let n_tiles = n.div_ceil(QUERY_TILE);
         let tiles = defa_parallel::par_map_collect(n_tiles, |t| {
             let q0 = t * QUERY_TILE;
             let q1 = ((t + 1) * QUERY_TILE).min(n);
-            self.run_query_tile(locations, keep, q0, q1)
+            self.run_query_tile(locations, keep, &group_of, q0, q1)
         });
         let mut stats = MsgsStats::default();
         let mut sram = BankedSram::new(N_BANKS, word_bits)?;
@@ -203,72 +219,63 @@ impl MsgsEngine {
     /// Simulates the BA-pipeline groups of queries `q0..q1` against a
     /// tile-private SRAM model, returning the tile's stats and counter
     /// deltas (SRAM activity already drained into the counters).
+    ///
+    /// Kept points are visited in slot order; each adds its footprint's
+    /// banks to its group (`group_of`, indexed by the slot's offset in its
+    /// `(query, head)` slice). When the walk leaves a slice, that slice's
+    /// non-empty groups are issued in group order.
     fn run_query_tile(
         &self,
         locations: &[SamplePoint],
         keep: &[bool],
+        group_of: &[usize],
         q0: usize,
         q1: usize,
     ) -> Result<(MsgsStats, EventCounters), CoreError> {
         let cfg = &self.cfg;
         let ppq = cfg.points_per_query();
-        let pe = PeArray::new();
+        let per_head = group_of.len();
+        let mapping = self.settings.mapping;
+        let n_groups = match mapping {
+            BankMapping::InterLevel => cfg.n_points,
+            BankMapping::IntraLevel => cfg.n_levels(),
+        };
         let word_bits = defa_arch::BA_CHANNELS_PER_BEAT * PRECISION_BITS;
-        let mut sram = BankedSram::new(N_BANKS, word_bits)?;
-        let mut counters = EventCounters::new();
-        let mut stats = MsgsStats::default();
-        let dh = cfg.head_dim();
-        let n_levels = cfg.n_levels();
-        let n_points = cfg.n_points;
-
-        // Group points per (query, head): inter-level groups take one point
-        // per level; intra-level groups take the N_p points of one level.
-        let mut group_banks: Vec<usize> = Vec::with_capacity(4 * N_BANKS);
-        for q in q0..q1 {
-            for h in 0..cfg.n_heads {
-                let base = q * ppq + h * n_levels * n_points;
-                let group_count = match self.settings.mapping {
-                    BankMapping::InterLevel => n_points,
-                    BankMapping::IntraLevel => n_levels,
-                };
-                for g in 0..group_count {
-                    group_banks.clear();
-                    let mut pts_in_group = 0usize;
-                    let members = match self.settings.mapping {
-                        BankMapping::InterLevel => n_levels,
-                        BankMapping::IntraLevel => n_points,
-                    };
-                    for m in 0..members {
-                        let slot = match self.settings.mapping {
-                            BankMapping::InterLevel => base + m * n_points + g,
-                            BankMapping::IntraLevel => base + g * n_points + m,
-                        };
-                        if !keep[slot] {
-                            continue;
-                        }
-                        let pt = locations[slot];
-                        let fp = Footprint::at(pt.x, pt.y);
-                        let (y0, x0) = (fp.neighbors[0].y, fp.neighbors[0].x);
-                        let banks =
-                            self.settings.mapping.footprint_banks(pt.level as usize, y0, x0)?;
-                        group_banks.extend_from_slice(&banks);
-                        pts_in_group += 1;
-                    }
-                    if pts_in_group == 0 {
-                        continue;
-                    }
-                    let service = sram.read_group(&group_banks)?;
-                    let cycles = pe.run_ba_group(pts_in_group, dh, service, &mut counters);
-                    stats.cycles += cycles;
-                    stats.groups += 1;
-                    stats.points += pts_in_group as u64;
-                    // The group's reads repeat every beat; the first beat
-                    // was charged by read_group.
-                    let beats = (dh as u64).div_ceil(defa_arch::BA_CHANNELS_PER_BEAT);
-                    sram.read_stream((beats - 1) * group_banks.len() as u64);
+        let mut tile = TileGroups {
+            pe: PeArray::new(),
+            sram: BankedSram::new(N_BANKS, word_bits)?,
+            counters: EventCounters::new(),
+            stats: MsgsStats::default(),
+            head_dim: cfg.head_dim(),
+            loads: vec![[0; N_BANKS]; n_groups],
+            members: vec![0; n_groups],
+            live: vec![0; n_groups.div_ceil(64)],
+        };
+        let lo = q0 * ppq;
+        let mut slice_end = lo + per_head;
+        let mut bad_bank = None;
+        for_each_kept(&keep[lo..q1 * ppq], |k| {
+            let slot = lo + k;
+            if slot >= slice_end {
+                tile.issue();
+                while slot >= slice_end {
+                    slice_end += per_head;
                 }
             }
+            let pt = locations[slot];
+            let (x0, y0) = Footprint::anchor(pt.x, pt.y);
+            match mapping.footprint_banks(pt.level as usize, y0, x0) {
+                Ok(banks) => tile.add(group_of[slot + per_head - slice_end], banks),
+                Err(e) => {
+                    bad_bank.get_or_insert(e);
+                }
+            }
+        });
+        if let Some(e) = bad_bank {
+            return Err(e.into());
         }
+        tile.issue();
+        let TileGroups { mut sram, mut counters, mut stats, .. } = tile;
         stats.conflicts = sram.conflicts();
         sram.drain_into(&mut counters);
         Ok((stats, counters))
@@ -292,23 +299,80 @@ impl MsgsEngine {
             return kept_pixels * d * PRECISION_BITS;
         }
         let dh = cfg.head_dim() as u64;
-        let ppq = cfg.points_per_query();
         let n_points = cfg.n_points;
         let n_levels = cfg.n_levels();
+        let window: Vec<u64> =
+            self.ranges.ranges().iter().map(|range| (2 * range.half_h as u64 + 2) * dh).collect();
+        // Kept points arrive in slot order, so the points of one
+        // (query, head, level) run are consecutive: count each run once.
         let mut fetches = 0u64;
-        for q in 0..n_queries {
-            for h in 0..cfg.n_heads {
-                for (l, range) in self.ranges.ranges().iter().enumerate().take(n_levels) {
-                    let base = q * ppq + (h * n_levels + l) * n_points;
-                    let any = (0..n_points).any(|p| keep[base + p]);
-                    if any {
-                        let window_h = 2 * range.half_h as u64 + 2;
-                        fetches += window_h * dh;
-                    }
-                }
+        let mut last_run = usize::MAX;
+        for_each_kept(&keep[..n_queries * cfg.points_per_query()], |i| {
+            let run = i / n_points;
+            if run != last_run {
+                last_run = run;
+                fetches += window.get(run % n_levels).copied().unwrap_or(0);
+            }
+        });
+        fetches * PRECISION_BITS
+    }
+}
+
+/// One query tile's simulation state: the SRAM and counter models plus
+/// the per-bank request counts of the current `(query, head)` slice's
+/// groups, reused from slice to slice.
+struct TileGroups {
+    pe: PeArray,
+    sram: BankedSram,
+    counters: EventCounters,
+    stats: MsgsStats,
+    head_dim: usize,
+    /// Per-bank request counts of each group.
+    loads: Vec<[u32; N_BANKS]>,
+    /// Kept points in each group.
+    members: Vec<u32>,
+    /// Bit `g` set when group `g` has a member.
+    live: Vec<u64>,
+}
+
+impl TileGroups {
+    /// Adds one kept point, whose footprint reads `banks`, to group `g`.
+    #[inline]
+    fn add(&mut self, g: usize, banks: [usize; 4]) {
+        let loads = &mut self.loads[g];
+        for b in banks {
+            loads[b] += 1;
+        }
+        self.members[g] += 1;
+        self.live[g / 64] |= 1 << (g % 64);
+    }
+
+    /// Issues the slice's non-empty groups in group order and clears them.
+    fn issue(&mut self) {
+        let beats = (self.head_dim as u64).div_ceil(defa_arch::BA_CHANNELS_PER_BEAT);
+        for w in 0..self.live.len() {
+            let mut bits = std::mem::take(&mut self.live[w]);
+            while bits != 0 {
+                let g = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let points = std::mem::take(&mut self.members[g]);
+                let requests = 4 * u64::from(points);
+                let service = self.sram.read_loads(&self.loads[g], requests);
+                self.loads[g] = [0; N_BANKS];
+                let cycles = self.pe.run_ba_group(
+                    points as usize,
+                    self.head_dim,
+                    service,
+                    &mut self.counters,
+                );
+                self.stats.cycles += cycles;
+                self.stats.groups += 1;
+                self.stats.points += u64::from(points);
+                // The group's reads repeat every beat; the first beat was
+                // charged by read_loads.
+                self.sram.read_stream((beats - 1) * requests);
             }
         }
-        fetches * PRECISION_BITS
     }
 }
 

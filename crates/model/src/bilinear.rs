@@ -56,6 +56,14 @@ fn floor(x: f32) -> f32 {
 }
 
 impl Footprint {
+    /// The top-left neighbor `N0` of a sample at continuous `(x, y)`, as
+    /// `(x0, y0)`: bit for bit `at(x, y).neighbors[0]`, without the
+    /// weights. Bank addressing needs only this corner.
+    #[inline]
+    pub fn anchor(x: f32, y: f32) -> (i64, i64) {
+        (floor(x) as i64, floor(y) as i64)
+    }
+
     /// Computes the footprint of a sample at continuous `(x, y)`.
     pub fn at(x: f32, y: f32) -> Self {
         let x0 = floor(x);
@@ -63,11 +71,14 @@ impl Footprint {
         let t1 = x - x0;
         let t0 = y - y0;
         let (x0, y0) = (x0 as i64, y0 as i64);
+        // The cast saturates huge and infinite coordinates to `i64::MAX`;
+        // their far neighbors wrap (out of bounds either way).
+        let (x1, y1) = (x0.wrapping_add(1), y0.wrapping_add(1));
         let neighbors = [
             Neighbor { x: x0, y: y0, weight: (1.0 - t1) * (1.0 - t0) },
-            Neighbor { x: x0 + 1, y: y0, weight: t1 * (1.0 - t0) },
-            Neighbor { x: x0, y: y0 + 1, weight: (1.0 - t1) * t0 },
-            Neighbor { x: x0 + 1, y: y0 + 1, weight: t1 * t0 },
+            Neighbor { x: x1, y: y0, weight: t1 * (1.0 - t0) },
+            Neighbor { x: x0, y: y1, weight: (1.0 - t1) * t0 },
+            Neighbor { x: x1, y: y1, weight: t1 * t0 },
         ];
         Footprint { neighbors, t0, t1 }
     }

@@ -3,17 +3,24 @@
 //! The memoized and kept-only compute paths (the warp table, hoisted clamp
 //! windows, memoized INT-N weights and the kept-point iteration of the
 //! masked stages) must reproduce their per-point references exactly, not
-//! approximately.
+//! approximately. So must the MSGS engine's kept-point cycle simulation
+//! against its per-group, every-slot reference.
 
+use defa_arch::{
+    BankMapping, BankedSram, Dram, EventCounters, PeArray, BA_CHANNELS_PER_BEAT, N_BANKS,
+    PRECISION_BITS,
+};
+use defa_core::{MsgsEngine, MsgsSettings, MsgsStats};
+use defa_model::bilinear::Footprint;
 use defa_model::encoder::run_encoder;
 use defa_model::reference::{generate_locations, LayerMasks};
-use defa_model::sampling::query_sample_points_into;
+use defa_model::sampling::{point_slot, query_sample_points_into};
 use defa_model::workload::{Benchmark, SyntheticWorkload};
 use defa_model::{ModelError, MsdaConfig, SamplePoint};
 use defa_parallel::with_num_threads;
 use defa_prune::fwp::SampleFrequency;
 use defa_prune::pap::{point_mask, PapConfig};
-use defa_prune::pipeline::{run_pruned_encoder, PruneSettings};
+use defa_prune::pipeline::{run_pruned_encoder, run_pruned_encoder_observed, PruneSettings};
 use defa_prune::range::clamp_locations;
 use defa_prune::RangeConfig;
 use defa_tensor::matmul::{matmul, matmul_naive};
@@ -283,5 +290,182 @@ fn memoized_quantized_layers_equal_a_fresh_fit() {
     }
     for bits in [0u8, 1, 17, u8::MAX] {
         assert!(wl.quantized_layers(bits).is_err(), "{bits} bits");
+    }
+}
+
+/// The MSGS engine's block simulation as a plain sequential reference.
+///
+/// Every slot of every `(query, head)` group is visited; a group's kept
+/// points list their footprint banks, which one `read_group` serves. The
+/// block-level streams (fmap fetch, spill, output) follow as documented on
+/// `MsgsEngine::run_block`.
+fn reference_msgs_block(
+    cfg: &MsdaConfig,
+    settings: MsgsSettings,
+    locations: &[SamplePoint],
+    keep: &[bool],
+    pixel_keep: f64,
+) -> (MsgsStats, EventCounters) {
+    let word_bits = BA_CHANNELS_PER_BEAT * PRECISION_BITS;
+    let pe = PeArray::new();
+    let mut sram = BankedSram::new(N_BANKS, word_bits).unwrap();
+    let mut dram = Dram::hbm2();
+    let mut counters = EventCounters::new();
+    let mut stats = MsgsStats::default();
+    let (ppq, n_levels, n_points, dh) =
+        (cfg.points_per_query(), cfg.n_levels(), cfg.n_points, cfg.head_dim());
+    let n = locations.len() / ppq;
+    let beats = (dh as u64).div_ceil(BA_CHANNELS_PER_BEAT);
+    let (n_groups, n_members) = match settings.mapping {
+        BankMapping::InterLevel => (n_points, n_levels),
+        BankMapping::IntraLevel => (n_levels, n_points),
+    };
+    for q in 0..n {
+        for h in 0..cfg.n_heads {
+            for g in 0..n_groups {
+                let mut banks = Vec::new();
+                for m in 0..n_members {
+                    let (l, p) = match settings.mapping {
+                        BankMapping::InterLevel => (m, g),
+                        BankMapping::IntraLevel => (g, m),
+                    };
+                    let slot = q * ppq + point_slot(cfg, h, l, p);
+                    if keep[slot] {
+                        let pt = locations[slot];
+                        let n0 = Footprint::at(pt.x, pt.y).neighbors[0];
+                        let fp = settings.mapping.footprint_banks(pt.level as usize, n0.y, n0.x);
+                        banks.extend(fp.unwrap());
+                    }
+                }
+                if banks.is_empty() {
+                    continue;
+                }
+                let points = banks.len() / 4;
+                let service = sram.read_group(&banks).unwrap();
+                stats.cycles += pe.run_ba_group(points, dh, service, &mut counters);
+                stats.groups += 1;
+                stats.points += points as u64;
+                sram.read_stream((beats - 1) * banks.len() as u64);
+            }
+        }
+    }
+    stats.conflicts = sram.conflicts();
+
+    let fetch_bits = if settings.fmap_reuse {
+        (cfg.n_in() as f64 * pixel_keep).round() as u64 * cfg.d_model as u64 * PRECISION_BITS
+    } else {
+        let ranges = RangeConfig::paper_defaults(cfg);
+        let mut fetches = 0u64;
+        for q in 0..n {
+            for h in 0..cfg.n_heads {
+                for (l, range) in ranges.ranges().iter().enumerate() {
+                    if (0..n_points).any(|p| keep[q * ppq + point_slot(cfg, h, l, p)]) {
+                        fetches += (2 * range.half_h as u64 + 2) * dh as u64;
+                    }
+                }
+            }
+        }
+        fetches * PRECISION_BITS
+    };
+    dram.read(fetch_bits);
+    sram.write_stream(fetch_bits / word_bits);
+    stats.fmap_fetch_bits = fetch_bits;
+    if !settings.fused {
+        let bits = stats.points * dh as u64 * PRECISION_BITS;
+        sram.write_stream(bits / word_bits);
+        sram.read_stream(bits / word_bits);
+        dram.write(bits);
+        dram.read(bits);
+        stats.spill_bits = 2 * bits;
+    }
+    let out_bits = (n * cfg.d_model) as u64 * PRECISION_BITS;
+    sram.write_stream(out_bits / word_bits);
+    dram.write(out_bits);
+    sram.drain_into(&mut counters);
+    dram.drain_into(&mut counters);
+    (stats, counters)
+}
+
+#[test]
+fn msgs_engine_equals_per_group_reference() {
+    for cfg in [MsdaConfig::tiny(), MsdaConfig::small()] {
+        let wl = SyntheticWorkload::generate(Benchmark::DeformableDetr, &cfg, 9).unwrap();
+        // The last block of a pruned run: its real PAP mask, its clamped
+        // locations and the FWP keep fraction of its value projection.
+        let mut block = None;
+        run_pruned_encoder_observed(&wl, &PruneSettings::paper_defaults(), |_, out, info| {
+            block = Some((
+                out.locations.clone(),
+                info.point_mask.as_bools().to_vec(),
+                info.fmap_mask.keep_fraction(),
+            ));
+        })
+        .unwrap();
+        let (locs, pap, pixel_keep) = block.unwrap();
+        assert!(pixel_keep < 1.0);
+        let masks = [
+            ("all", vec![true; locs.len()]),
+            ("none", vec![false; locs.len()]),
+            ("pap", pap),
+            ("random", random_mask(locs.len(), 19, 7)),
+        ];
+        for mapping in [BankMapping::InterLevel, BankMapping::IntraLevel] {
+            for fused in [true, false] {
+                for fmap_reuse in [true, false] {
+                    let settings = MsgsSettings { mapping, fused, fmap_reuse };
+                    let engine = MsgsEngine::new(&cfg, settings).unwrap();
+                    for (label, keep) in &masks {
+                        let expect = reference_msgs_block(&cfg, settings, &locs, keep, pixel_keep);
+                        for threads in [1, 4] {
+                            let mut counters = EventCounters::new();
+                            let stats = with_num_threads(threads, || {
+                                engine.run_block(&locs, keep, pixel_keep, &mut counters).unwrap()
+                            });
+                            let at = format!("{settings:?} {label} mask, {threads} threads");
+                            assert_eq!((stats, counters), expect, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn footprint_anchor_is_the_top_left_neighbor() {
+    let edges = [
+        0.0f32,
+        -0.0,
+        0.5,
+        -0.5,
+        -1.0,
+        -1.5,
+        8_388_607.5,
+        -8_388_607.5,
+        8_388_608.0,
+        -8_388_608.0,
+        -8_388_609.0,
+        3e9,
+        -3e9,
+        f32::MAX,
+        f32::MIN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+    let mut state = 0xA7C4_0B5Eu64;
+    let mut random = || {
+        state = splitmix64(state);
+        f32::from_bits(state as u32)
+    };
+    let pairs: Vec<(f32, f32)> = edges
+        .iter()
+        .flat_map(|&x| edges.iter().map(move |&y| (x, y)))
+        .chain((0..20_000).map(|_| (random(), random())))
+        .chain((-300..300).map(|i| (i as f32 / 16.0, -(i as f32) / 7.0)))
+        .collect();
+    for (x, y) in pairs {
+        let n0 = Footprint::at(x, y).neighbors[0];
+        assert_eq!(Footprint::anchor(x, y), (n0.x, n0.y), "anchor({x:e}, {y:e})");
     }
 }
