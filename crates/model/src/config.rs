@@ -2,6 +2,10 @@
 
 use crate::ModelError;
 
+/// Most pyramid levels a valid configuration has: the hardware model
+/// supports at most 8.
+pub(crate) const MAX_LEVELS: usize = 8;
+
 /// Height × width of one feature-map pyramid level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LevelShape {
@@ -107,7 +111,7 @@ impl MsdaConfig {
     /// `d_model` is not divisible by `n_heads`, or if more than 8 pyramid
     /// levels are requested (the hardware model supports at most 8).
     pub fn validate(&self) -> Result<(), ModelError> {
-        if self.levels.is_empty() || self.levels.len() > 8 {
+        if self.levels.is_empty() || self.levels.len() > MAX_LEVELS {
             return Err(ModelError::InvalidConfig(format!(
                 "level count must be 1..=8, got {}",
                 self.levels.len()

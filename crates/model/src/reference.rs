@@ -1,6 +1,7 @@
 //! Functional reference implementation of one MSDeformAttn layer (Eq. 1).
 
 use crate::bilinear::Footprint;
+use crate::config::MAX_LEVELS;
 use crate::sampling::{
     for_each_kept, query_sample_points_into, reference_points, RefPoint, SamplePoint,
 };
@@ -9,6 +10,7 @@ use crate::{FmapPyramid, ModelError, MsdaConfig};
 use defa_tensor::matmul::{matmul, matmul_row_masked};
 use defa_tensor::softmax::softmax_inplace;
 use defa_tensor::Tensor;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Below this many per-query sampling points / probability elements the
 /// per-query loops run sequentially: the scoped-thread helpers have no
@@ -18,9 +20,8 @@ const PAR_MIN_ELEMS: usize = 1 << 12;
 
 /// Builds the full sampling-location table for `offsets` (`[n, 2·ppq]`),
 /// one query per row, applying the optional saliency warp — the
-/// per-query-parallel generation shared by the monolithic forward and the
-/// pruned pipeline (both must produce identical geometry, which the golden
-/// tests pin).
+/// per-query-parallel generation of the monolithic forward, and the
+/// all-slot reference for [`generate_kept_locations`].
 ///
 /// Queries are independent, so the table is filled in disjoint
 /// `points_per_query` windows in parallel; results are bit-identical for
@@ -40,6 +41,114 @@ pub fn generate_locations(
     offsets: &Tensor,
     warp: Option<&SaliencyWarp>,
 ) -> Result<Vec<SamplePoint>, ModelError> {
+    check_location_inputs(cfg, references, offsets, warp)?;
+    let n = references.len();
+    let ppq = cfg.points_per_query();
+    let table = warp.map(SaliencyWarp::table);
+    let odata = offsets.as_slice();
+    let mut locations = vec![SamplePoint::new(0, 0.0, 0.0); n * ppq];
+    defa_parallel::par_chunks_mut_if(n * ppq >= PAR_MIN_ELEMS, &mut locations, ppq, |i, pts| {
+        query_sample_points_into(cfg, references[i], &odata[i * 2 * ppq..(i + 1) * 2 * ppq], pts);
+        if let Some(t) = table {
+            t.overwrite(i, pts);
+        }
+    });
+    Ok(locations)
+}
+
+/// Stage 2 of the pruned dataflow on kept slots only: one pass per query
+/// that, for every slot with `keep` set, projects `center + offset`,
+/// applies the warp's memoized snap and clamps to the slot's level window.
+///
+/// `half_extents[l]` is level `l`'s range-narrowing window `[half_w,
+/// half_h]` in pixels; `None` leaves the points unclamped. Each kept slot
+/// is bit-identical to [`generate_locations`] followed by the all-slot
+/// clamp with the same windows (the windows use the same f32 expressions,
+/// computed once per query). Pruned slots are left as
+/// `SamplePoint::new(0, 0.0, 0.0)`, so the table keeps the
+/// `[n · points_per_query]` layout every consumer indexes. Returns the
+/// table and the number of kept points the clamp moved.
+///
+/// # Errors
+///
+/// As [`generate_locations`]; also [`ModelError::ShapeMismatch`] if `keep`
+/// does not have one entry per slot or `half_extents` has fewer entries
+/// than `cfg` has levels, and [`ModelError::InvalidConfig`] if `cfg` fails
+/// validation.
+pub fn generate_kept_locations(
+    cfg: &MsdaConfig,
+    references: &[RefPoint],
+    offsets: &Tensor,
+    warp: Option<&SaliencyWarp>,
+    keep: &[bool],
+    half_extents: Option<&[[u32; 2]]>,
+) -> Result<(Vec<SamplePoint>, u64), ModelError> {
+    cfg.validate()?;
+    check_location_inputs(cfg, references, offsets, warp)?;
+    let n = references.len();
+    let ppq = cfg.points_per_query();
+    if keep.len() != n * ppq {
+        return Err(ModelError::ShapeMismatch(format!(
+            "keep mask of {} for {} slots",
+            keep.len(),
+            n * ppq
+        )));
+    }
+    if let Some(h) = half_extents {
+        if h.len() < cfg.n_levels() {
+            return Err(ModelError::ShapeMismatch(format!(
+                "{} clamp windows for {} levels",
+                h.len(),
+                cfg.n_levels()
+            )));
+        }
+    }
+    let table = warp.map(SaliencyWarp::table);
+    let odata = offsets.as_slice();
+    let slot_level: Vec<u8> =
+        (0..ppq).map(|s| ((s / cfg.n_points) % cfg.n_levels()) as u8).collect();
+    let moved = AtomicU64::new(0);
+    let mut locations = vec![SamplePoint::new(0, 0.0, 0.0); n * ppq];
+    defa_parallel::par_chunks_mut_if(n * ppq >= PAR_MIN_ELEMS, &mut locations, ppq, |i, pts| {
+        // Per level: center, then the clamp window [x0, x1, y0, y1].
+        let mut geo = [[0f32; 6]; MAX_LEVELS];
+        for (l, (g, &shape)) in geo.iter_mut().zip(&cfg.levels).enumerate() {
+            let (cx, cy) = references[i].to_level(shape);
+            let [hw, hh] = half_extents.map_or([0, 0], |h| h[l]);
+            *g = [cx, cy, cx - hw as f32, cx + hw as f32, cy - hh as f32, cy + hh as f32];
+        }
+        let off = &odata[i * 2 * ppq..(i + 1) * 2 * ppq];
+        let snaps = table.map(|t| t.query(i));
+        let mut count = 0u64;
+        for_each_kept(&keep[i * ppq..(i + 1) * ppq], |s| {
+            let level = slot_level[s];
+            let [cx, cy, x0, x1, y0, y1] = geo[level as usize];
+            let mut pt = [cx + off[2 * s], cy + off[2 * s + 1]];
+            if let Some(q) = snaps {
+                pt = q.warp(s, pt);
+            }
+            let [mut x, mut y] = pt;
+            if half_extents.is_some() {
+                let (clamped_x, clamped_y) = (x.clamp(x0, x1), y.clamp(y0, y1));
+                count += u64::from(clamped_x != x || clamped_y != y);
+                (x, y) = (clamped_x, clamped_y);
+            }
+            pts[s] = SamplePoint::new(level, x, y);
+        });
+        // A statistic read only after the workers join, so `Relaxed`
+        // suffices; integer sums commute, so it is the same for any split.
+        moved.fetch_add(count, Ordering::Relaxed);
+    });
+    Ok((locations, moved.into_inner()))
+}
+
+/// Shape checks shared by the location generators.
+fn check_location_inputs(
+    cfg: &MsdaConfig,
+    references: &[RefPoint],
+    offsets: &Tensor,
+    warp: Option<&SaliencyWarp>,
+) -> Result<(), ModelError> {
     let n = references.len();
     let ppq = cfg.points_per_query();
     if offsets.shape().dims() != [n, 2 * ppq] {
@@ -58,16 +167,7 @@ pub fn generate_locations(
             )));
         }
     }
-    let table = warp.map(SaliencyWarp::table);
-    let odata = offsets.as_slice();
-    let mut locations = vec![SamplePoint::new(0, 0.0, 0.0); n * ppq];
-    defa_parallel::par_chunks_mut_if(n * ppq >= PAR_MIN_ELEMS, &mut locations, ppq, |i, pts| {
-        query_sample_points_into(cfg, references[i], &odata[i * 2 * ppq..(i + 1) * 2 * ppq], pts);
-        if let Some(t) = table {
-            t.overwrite(i, pts);
-        }
-    });
-    Ok(locations)
+    Ok(())
 }
 
 /// Learnable weights of one MSDeformAttn layer.
@@ -129,10 +229,13 @@ pub struct LayerOutput {
     pub logits: Tensor,
     /// Per-head softmax probabilities, same shape as `logits`.
     pub probs: Tensor,
-    /// Sampling offsets, `[N_in, 2·N_h·N_l·N_p]`.
+    /// Sampling offsets, `[N_in, 2·N_h·N_l·N_p]`. Dense in every run,
+    /// pruned or not.
     pub offsets: Tensor,
     /// Sampling locations, one per `(query, head, level, point)` in
-    /// [`crate::sampling::point_slot`] order.
+    /// [`crate::sampling::point_slot`] order. In a pruned run only the
+    /// point mask's kept slots are located; pruned slots hold
+    /// `SamplePoint::new(0, 0.0, 0.0)`.
     pub locations: Vec<SamplePoint>,
     /// Projected values `V = X·Wᵥ`, `[N_in, D]`.
     pub value: Tensor,

@@ -155,8 +155,10 @@ pub(crate) struct WarpTable {
     /// Snap bits: slot `s` of query `i` is bit `s % 64` of word
     /// `i · words + s / 64`.
     snapped: Vec<u64>,
-    /// Index into `pos` of each query's first snapped slot.
-    first: Vec<usize>,
+    /// Index into `pos` of the first snapped slot of each snap-bit word,
+    /// in `snapped` order: a slot's rank is its word's entry plus the set
+    /// bits below it in the word.
+    word_rank: Vec<usize>,
     /// Snapped positions in `(query, slot)` order.
     pos: Vec<[f32; 2]>,
 }
@@ -176,11 +178,11 @@ impl WarpTable {
             }
         }
         let total = snapped.iter().map(|w| w.count_ones() as usize).sum();
-        let mut first = Vec::with_capacity(n);
+        let mut word_rank = Vec::with_capacity(n * words);
         let mut pos = Vec::with_capacity(total);
         for (i, qbits) in snapped.chunks(words).enumerate() {
-            first.push(pos.len());
             for (w, &word) in qbits.iter().enumerate() {
+                word_rank.push(pos.len());
                 let mut bits = word;
                 while bits != 0 {
                     let s = w * 64 + bits.trailing_zeros() as usize;
@@ -189,7 +191,7 @@ impl WarpTable {
                 }
             }
         }
-        WarpTable { words, snapped, first, pos }
+        WarpTable { words, snapped, word_rank, pos }
     }
 
     /// Overwrites the snapped slots of query `query`'s points.
@@ -199,7 +201,7 @@ impl WarpTable {
     #[inline]
     pub(crate) fn overwrite(&self, query: usize, pts: &mut [SamplePoint]) {
         let words = &self.snapped[query * self.words..(query + 1) * self.words];
-        let mut k = self.first[query];
+        let mut k = self.word_rank[query * self.words];
         for (w, &word) in words.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
@@ -211,6 +213,47 @@ impl WarpTable {
                 bits &= bits - 1;
             }
         }
+    }
+
+    /// Query `query`'s snap decisions, for lookups by slot.
+    #[inline]
+    pub(crate) fn query(&self, query: usize) -> QuerySnaps<'_> {
+        let words = query * self.words..(query + 1) * self.words;
+        QuerySnaps {
+            words: &self.snapped[words.clone()],
+            word_rank: &self.word_rank[words],
+            pos: &self.pos,
+        }
+    }
+}
+
+/// One query's snap bits and their per-word ranks: a slot's snapped
+/// position is found in O(1) with a bit test and a count of the set bits
+/// below it in its word.
+#[derive(Clone, Copy)]
+pub(crate) struct QuerySnaps<'a> {
+    words: &'a [u64],
+    word_rank: &'a [usize],
+    pos: &'a [[f32; 2]],
+}
+
+impl QuerySnaps<'_> {
+    /// `pt` warped: the snapped position of `slot`, or `pt` itself if the
+    /// slot keeps its projected location.
+    ///
+    /// The snap bit selects the result through a bit mask instead of a
+    /// branch: the decisions are random, so a branch would mispredict.
+    #[inline]
+    pub(crate) fn warp(self, slot: usize, pt: [f32; 2]) -> [f32; 2] {
+        let (w, b) = (slot / 64, slot % 64);
+        let bits = self.words[w];
+        let rank = self.word_rank[w] + (bits & ((1u64 << b) - 1)).count_ones() as usize;
+        // Past the last snapped slot the lookup misses; the mask is zero then.
+        let snapped = self.pos.get(rank).copied().unwrap_or(pt);
+        let take = 0u32.wrapping_sub(((bits >> b) & 1) as u32);
+        std::array::from_fn(|j| {
+            f32::from_bits(snapped[j].to_bits() & take | pt[j].to_bits() & !take)
+        })
     }
 }
 

@@ -5,7 +5,9 @@
 //!
 //! 1. attention probabilities are computed and the **point mask** (PAP) is
 //!    generated;
-//! 2. the masked sampling offsets are produced;
+//! 2. the masked sampling offsets are produced: the offset projection is
+//!    dense, then one pass over each query's kept slots builds, warps and
+//!    range-clamps their locations, leaving pruned slots zeroed;
 //! 3. the value projection runs under the **fmap mask** that the *previous*
 //!    block's frequency counters produced (FWP);
 //! 4. MSGS + aggregation run over surviving points only, while the fmap
@@ -17,12 +19,12 @@
 
 use crate::fwp::{FwpConfig, SampleFrequency};
 use crate::pap::{point_mask, retained_mass, PapConfig};
-use crate::range::{clamp_locations, RangeConfig};
+use crate::range::RangeConfig;
 use crate::stats::ReductionStats;
 use crate::{BitMask, PruneError};
 use defa_model::encoder::block_update;
 use defa_model::flops::BlockFlops;
-use defa_model::reference::LayerOutput;
+use defa_model::reference::{generate_kept_locations, LayerOutput};
 use defa_model::workload::SyntheticWorkload;
 use defa_model::{FmapPyramid, MsdaConfig};
 use defa_tensor::matmul::matmul;
@@ -73,7 +75,8 @@ pub struct BlockPruneInfo {
     /// FWP mask this block's value projection ran under (from the previous
     /// block; all-keep for block 0).
     pub fmap_mask: BitMask,
-    /// Sampling points moved by range narrowing.
+    /// Kept sampling points moved by range narrowing (pruned points are
+    /// never located, so never clamped).
     pub clamped_points: u64,
     /// Probability mass surviving PAP.
     pub retained_mass: f64,
@@ -159,14 +162,19 @@ where
     let n = cfg.n_in();
     let ppq = cfg.points_per_query();
     let flops = BlockFlops::for_config(cfg);
-    let ranges = settings.range_narrowing.then(|| RangeConfig::paper_defaults(cfg));
+    let half_extents = settings
+        .range_narrowing
+        .then(|| RangeConfig::paper_defaults(cfg).half_extents(cfg))
+        .transpose()?;
 
     let quant_layers = settings.quant_bits.map(|bits| wl.quantized_layers(bits)).transpose()?;
 
-    let mut x = initial.clone();
-    if let Some(bits) = settings.quant_bits {
-        x = FmapPyramid::from_tensor(cfg, fake_quantize_features(x.tensor(), bits)?)?;
-    }
+    let mut x = match settings.quant_bits {
+        Some(bits) => {
+            FmapPyramid::from_tensor(cfg, fake_quantize_features(initial.tensor(), bits)?)?
+        }
+        None => initial.clone(),
+    };
 
     let mut stats = ReductionStats::new();
     let mut blocks = Vec::with_capacity(cfg.n_layers);
@@ -191,21 +199,20 @@ where
         };
 
         // Stage 2+3: masked offsets, locations (warp + range clamp), masked
-        // value projection. Location generation is per-query parallel and
-        // bit-identical to the monolithic forward (pinned by the golden
-        // geometry test).
+        // value projection. The offset projection stays dense; locations
+        // are built for kept slots only, bit-identical to the all-slot
+        // `generate_locations` + `clamp_locations` there (pinned by the
+        // golden tests), and pruned slots stay zeroed.
         let offsets =
             matmul(x.tensor(), &layer.weights().w_offset).map_err(defa_model::ModelError::from)?;
-        let mut locations = defa_model::reference::generate_locations(
+        let (locations, clamped) = generate_kept_locations(
             cfg,
             layer.references(),
             &offsets,
             Some(wl.warp()),
+            pmask.as_bools(),
+            half_extents.as_deref(),
         )?;
-        let clamped = match &ranges {
-            Some(rc) => clamp_locations(cfg, rc, layer.references(), &mut locations)?,
-            None => 0,
-        };
 
         let fmap_mask = std::mem::replace(&mut next_fmap_mask, BitMask::keep_all(n));
         let value = defa_tensor::matmul::matmul_row_masked(

@@ -98,6 +98,18 @@ impl RangeConfig {
         })
     }
 
+    /// Each level's window half-extents `[half_w, half_h]` in `cfg`'s level
+    /// order — what [`defa_model::reference::generate_kept_locations`]
+    /// clamps kept points to.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PruneError::ShapeMismatch`] if fewer ranges are configured
+    /// than `cfg` has levels.
+    pub fn half_extents(&self, cfg: &MsdaConfig) -> Result<Vec<[u32; 2]>, PruneError> {
+        (0..cfg.n_levels()).map(|l| self.level(l).map(|r| [r.half_w, r.half_h])).collect()
+    }
+
     /// Clamps one sampling point into its level's bounded range around a
     /// reference point, returning the clamped point and whether clamping
     /// moved it.
@@ -150,6 +162,10 @@ impl RangeConfig {
 
 /// Applies range clamping to a whole location table, in place, returning
 /// how many points were moved.
+///
+/// This is the all-slot reference: the pruned pipeline clamps kept points
+/// only, inside [`defa_model::reference::generate_kept_locations`], and
+/// tests and the staged benchmark replay call this to check and time it.
 ///
 /// `references` must hold one reference point per query and `locations`
 /// exactly `n_in · points_per_query` entries in layer order.

@@ -21,7 +21,8 @@ pub struct ReductionStats {
     pub flops_dense: u64,
     /// FLOPs actually executed after pruning.
     pub flops_pruned: u64,
-    /// Sampling points moved by level-wise range narrowing.
+    /// Kept sampling points moved by level-wise range narrowing — the
+    /// points the datapath samples; pruned points are never clamped.
     pub clamped_points: u64,
     /// Sum of per-block retained probability mass (divide by `blocks`).
     pub retained_mass_sum: f64,

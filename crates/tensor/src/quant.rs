@@ -84,10 +84,36 @@ impl QuantParams {
         (1i32 << (self.bits - 1)) - 1
     }
 
-    /// Quantizes a single value to its integer code.
+    /// Quantizes a single value to its integer code: `x / scale` rounded
+    /// half away from zero and clamped to `[qmin, qmax]`. NaN maps to 0 and
+    /// ±∞ to the range ends.
+    #[inline]
     pub fn quantize_value(&self, x: f32) -> i32 {
-        let q = (x / self.scale).round() as i64;
-        q.clamp(self.qmin() as i64, self.qmax() as i64) as i32
+        self.code(x) as i32
+    }
+
+    /// [`QuantParams::quantize_value`] as an exactly integral `f32`, computed
+    /// without a libm `roundf` call or a float-to-int cast, so loops over it
+    /// vectorize on baseline x86-64:
+    /// - the quotient is clamped first, which is exact because rounding is
+    ///   monotone and both bounds are integers;
+    /// - adding and subtracting 1.5·2²³ then rounds it to the nearest
+    ///   integer, ties to even, exactly (|quotient| ≤ 2¹⁵ after the clamp);
+    /// - a tie (remainder exactly ±0.5) is moved away from zero.
+    #[inline]
+    fn code(&self, x: f32) -> f32 {
+        const ROUND: f32 = 12_582_912.0;
+        let v = (x / self.scale).clamp(self.qmin() as f32, self.qmax() as f32);
+        let nearest_even = (v + ROUND) - ROUND;
+        let rem = v - nearest_even;
+        let up = f32::from(u8::from(rem == 0.5 && v > 0.0));
+        let down = f32::from(u8::from(rem == -0.5 && v < 0.0));
+        let code = nearest_even + up - down;
+        if code.is_nan() {
+            0.0
+        } else {
+            code
+        }
     }
 
     /// Dequantizes a single code back to `f32`.
@@ -110,8 +136,7 @@ impl QuantParams {
     /// Quantize–dequantize round trip ("fake quantization"), used by the
     /// functional model to emulate INT-N inference in `f32` arithmetic.
     pub fn fake_quantize(&self, t: &Tensor) -> Tensor {
-        let data =
-            t.as_slice().iter().map(|&x| self.dequantize_value(self.quantize_value(x))).collect();
+        let data = t.as_slice().iter().map(|&x| self.code(x) * self.scale).collect();
         Tensor::from_vec(data, t.shape().clone()).expect("same shape")
     }
 }
@@ -205,6 +230,106 @@ mod tests {
         let p = QuantParams::new(1.0, 4).unwrap();
         assert_eq!(p.quantize_value(100.0), 7);
         assert_eq!(p.quantize_value(-100.0), -8);
+    }
+
+    /// The textbook quantizer, libm rounding then an integer clamp: the
+    /// bit-identity reference for `quantize_value` and `fake_quantize`.
+    fn reference_code(p: &QuantParams, x: f32) -> i32 {
+        let q = (x / p.scale()).round() as i64;
+        q.clamp(p.qmin() as i64, p.qmax() as i64) as i32
+    }
+
+    /// A sequential `max_abs` fold: the reference for the lane-wise one.
+    fn reference_max_abs(xs: &[f32]) -> f32 {
+        xs.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
+    }
+
+    /// Edge inputs for a quantizer: ±(k + 0.5)·scale around 0 and around
+    /// ±qmax (with their float neighbors), plus the special values.
+    fn edge_inputs(p: &QuantParams) -> Vec<f32> {
+        let s = p.scale();
+        let qmax = p.qmax() as f32;
+        let mut xs = Vec::new();
+        for k in (0..8).map(|k| k as f32).chain((-3..=3).map(|d| qmax + d as f32)) {
+            for v in [(k + 0.5) * s, k * s, (k + 0.5) / (1.0 / s)] {
+                for x in [v, -v] {
+                    let raw = x.to_bits();
+                    xs.extend([
+                        x,
+                        f32::from_bits(raw.wrapping_add(1)),
+                        f32::from_bits(raw.wrapping_sub(1)),
+                    ]);
+                }
+            }
+        }
+        let pow23 = 8_388_608.0f32;
+        xs.extend([
+            pow23,
+            -pow23,
+            pow23 * s,
+            -pow23 * s,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007F_FFFF),
+            f32::from_bits(0x807F_FFFF),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+        ]);
+        xs
+    }
+
+    #[test]
+    fn quantizer_is_bit_identical_to_the_rounding_reference() {
+        let mut state = 0x5EED_0F12u64;
+        let random: Vec<f32> = (0..100_000)
+            .map(|_| {
+                state = crate::rng::splitmix64(state);
+                f32::from_bits(state as u32)
+            })
+            .collect();
+        for bits in [2u8, 8, 12, 16] {
+            for scale in [1.0f32, 0.37, 3.0 / 2047.0, 1e-3, 6.1e5, 1e-38] {
+                let p = QuantParams::new(scale, bits).unwrap();
+                let mut xs = edge_inputs(&p);
+                xs.extend_from_slice(&random);
+                for &x in &xs {
+                    assert_eq!(
+                        p.quantize_value(x),
+                        reference_code(&p, x),
+                        "{bits} bits, scale {scale:e}, x {x:e} ({:#x})",
+                        x.to_bits()
+                    );
+                }
+                let t = Tensor::from_vec(xs.clone(), [xs.len()]).unwrap();
+                let fake = p.fake_quantize(&t);
+                for (&x, &y) in xs.iter().zip(fake.as_slice()) {
+                    let expect = p.dequantize_value(reference_code(&p, x));
+                    assert_eq!(y.to_bits(), expect.to_bits(), "{bits} bits, x {x:e}");
+                }
+                let codes: Vec<i32> = xs.iter().map(|&x| reference_code(&p, x)).collect();
+                assert_eq!(p.quantize(&t).codes(), codes.as_slice());
+            }
+        }
+        // `max_abs` over every prefix length (lane tails), with NaN and
+        // infinities mixed in, and over the random bit patterns.
+        let mut xs = edge_inputs(&QuantParams::new(0.37, 12).unwrap());
+        xs.extend_from_slice(&random[..1000]);
+        for len in (0..40).chain([xs.len() - 1, xs.len()]) {
+            let t = Tensor::from_vec(xs[..len].to_vec(), [len]).unwrap();
+            assert_eq!(t.max_abs().to_bits(), reference_max_abs(&xs[..len]).to_bits(), "{len}");
+        }
+        let finite: Vec<f32> = random.iter().copied().filter(|x| x.is_finite()).collect();
+        let t = Tensor::from_vec(finite.clone(), [finite.len()]).unwrap();
+        assert_eq!(t.max_abs().to_bits(), reference_max_abs(&finite).to_bits());
+        let nans = Tensor::from_vec(vec![f32::NAN; 19], [19]).unwrap();
+        assert_eq!(nans.max_abs().to_bits(), 0.0f32.to_bits());
     }
 
     #[test]

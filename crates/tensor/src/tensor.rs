@@ -175,8 +175,20 @@ impl Tensor {
     }
 
     /// Largest absolute element, or 0.0 for an empty tensor.
+    ///
+    /// NaN entries are ignored. Eight lane maxima are kept and combined at
+    /// the end so the loop vectorizes; `max` over non-negative values is
+    /// order-free, so the result equals a sequential fold bit for bit.
     pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
+        let chunks = self.data.chunks_exact(8);
+        let tail = chunks.remainder().iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+        let lanes = chunks.fold([0.0f32; 8], |mut lanes, c| {
+            for (m, &x) in lanes.iter_mut().zip(c) {
+                *m = m.max(x.abs());
+            }
+            lanes
+        });
+        lanes.iter().fold(tail, |m, &x| m.max(x))
     }
 
     /// Frobenius norm (square root of the sum of squares).

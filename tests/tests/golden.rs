@@ -13,7 +13,7 @@ use defa_arch::{
 use defa_core::{MsgsEngine, MsgsSettings, MsgsStats};
 use defa_model::bilinear::Footprint;
 use defa_model::encoder::run_encoder;
-use defa_model::reference::{generate_locations, LayerMasks};
+use defa_model::reference::{generate_kept_locations, generate_locations, LayerMasks};
 use defa_model::sampling::{point_slot, query_sample_points_into};
 use defa_model::workload::{Benchmark, SyntheticWorkload};
 use defa_model::{ModelError, MsdaConfig, SamplePoint};
@@ -22,7 +22,7 @@ use defa_prune::fwp::SampleFrequency;
 use defa_prune::pap::{point_mask, PapConfig};
 use defa_prune::pipeline::{run_pruned_encoder, run_pruned_encoder_observed, PruneSettings};
 use defa_prune::range::clamp_locations;
-use defa_prune::RangeConfig;
+use defa_prune::{BoundedRange, PruneError, RangeConfig};
 use defa_tensor::matmul::{matmul, matmul_naive};
 use defa_tensor::rng::{splitmix64, TensorRng};
 use defa_tensor::{QuantParams, Tensor};
@@ -201,6 +201,84 @@ fn random_mask(len: usize, keep_percent: u64, seed: u64) -> Vec<bool> {
             h % 100 < keep_percent
         })
         .collect()
+}
+
+/// The pruned pipeline's fused kept-slot pass equals the all-slot
+/// `generate_locations` + `clamp_locations` on every kept slot, leaves
+/// pruned slots zeroed and counts exactly the kept points the clamp moves.
+#[test]
+fn kept_locations_equal_all_slot_generate_and_clamp() {
+    let far = [1e6, -1e6, 3.5e4, -0.75, f32::INFINITY, f32::NEG_INFINITY];
+    for cfg in [MsdaConfig::tiny(), MsdaConfig::small()] {
+        let ppq = cfg.points_per_query();
+        let len = cfg.n_in() * ppq;
+        let ranges = RangeConfig::paper_defaults(&cfg);
+        let half_extents = ranges.half_extents(&cfg).unwrap();
+        for bench in Benchmark::all() {
+            let wl = SyntheticWorkload::generate(bench, &cfg, 31).unwrap();
+            let layer = wl.layer(0).unwrap();
+            let refs = layer.references();
+            // Real offsets with far out-of-range ones mixed in.
+            let mut off = offsets(&wl);
+            for (j, o) in off.as_mut_slice().iter_mut().enumerate().step_by(11) {
+                *o = far[j % far.len()];
+            }
+            let (_, probs) = layer.attention_probs(wl.initial_fmap()).unwrap();
+            let pap = point_mask(&probs, PapConfig::paper_default()).unwrap();
+            let masks = [
+                ("all", vec![true; len]),
+                ("none", vec![false; len]),
+                ("pap", pap.as_bools().to_vec()),
+                ("random", random_mask(len, 19, 5)),
+            ];
+            let unclamped = generate_locations(&cfg, refs, &off, Some(wl.warp())).unwrap();
+            let mut clamped = unclamped.clone();
+            clamp_locations(&cfg, &ranges, refs, &mut clamped).unwrap();
+            for (all_slot, half) in [(&unclamped, None), (&clamped, Some(&half_extents[..]))] {
+                for (label, keep) in &masks {
+                    let expect: Vec<SamplePoint> = all_slot
+                        .iter()
+                        .zip(keep)
+                        .map(|(&pt, &k)| if k { pt } else { SamplePoint::new(0, 0.0, 0.0) })
+                        .collect();
+                    let expect_moved = match half {
+                        Some(_) => (0..len)
+                            .filter(|&g| keep[g])
+                            .filter(|&g| ranges.clamp(&cfg, refs[g / ppq], unclamped[g]).unwrap().1)
+                            .count() as u64,
+                        None => 0,
+                    };
+                    for threads in [1, 4] {
+                        let (got, moved) = with_num_threads(threads, || {
+                            generate_kept_locations(&cfg, refs, &off, Some(wl.warp()), keep, half)
+                                .unwrap()
+                        });
+                        let at = format!(
+                            "{bench} {:?}, {label} mask, clamp {}, {threads} threads",
+                            cfg.levels,
+                            half.is_some()
+                        );
+                        assert_eq!(bits(&got), bits(&expect), "{at}");
+                        assert_eq!(moved, expect_moved, "{at}");
+                    }
+                }
+            }
+            // A keep mask of the wrong length is a typed error.
+            let short = vec![true; len - 1];
+            let err = generate_kept_locations(&cfg, refs, &off, Some(wl.warp()), &short, None);
+            assert!(matches!(err, Err(ModelError::ShapeMismatch(_))), "{err:?}");
+        }
+        // Fewer ranges than levels is a typed error, on both sides.
+        let one = RangeConfig::new(vec![BoundedRange::new(2, 2)]).unwrap();
+        let err = one.half_extents(&cfg);
+        assert!(matches!(err, Err(PruneError::ShapeMismatch(_))), "{err:?}");
+        let wl = SyntheticWorkload::generate(Benchmark::Dino, &cfg, 31).unwrap();
+        let refs = wl.layer(0).unwrap().references();
+        let keep = vec![true; len];
+        let err =
+            generate_kept_locations(&cfg, refs, &offsets(&wl), None, &keep, Some(&[[2, 2]][..]));
+        assert!(matches!(err, Err(ModelError::ShapeMismatch(_))), "{err:?}");
+    }
 }
 
 #[test]
@@ -390,36 +468,43 @@ fn reference_msgs_block(
 fn msgs_engine_equals_per_group_reference() {
     for cfg in [MsdaConfig::tiny(), MsdaConfig::small()] {
         let wl = SyntheticWorkload::generate(Benchmark::DeformableDetr, &cfg, 9).unwrap();
-        // The last block of a pruned run: its real PAP mask, its clamped
-        // locations and the FWP keep fraction of its value projection.
-        let mut block = None;
-        run_pruned_encoder_observed(&wl, &PruneSettings::paper_defaults(), |_, out, info| {
-            block = Some((
-                out.locations.clone(),
-                info.point_mask.as_bools().to_vec(),
-                info.fmap_mask.keep_fraction(),
-            ));
-        })
-        .unwrap();
-        let (locs, pap, pixel_keep) = block.unwrap();
+        // The last block of a run: its clamped locations, its PAP mask and
+        // the FWP keep fraction of its value projection.
+        let last_block = |settings: &PruneSettings| {
+            let mut block = None;
+            run_pruned_encoder_observed(&wl, settings, |_, out, info| {
+                block = Some((
+                    out.locations.clone(),
+                    info.point_mask.as_bools().to_vec(),
+                    info.fmap_mask.keep_fraction(),
+                ));
+            })
+            .unwrap();
+            block.unwrap()
+        };
+        let (pruned_locs, pap, pixel_keep) = last_block(&PruneSettings::paper_defaults());
         assert!(pixel_keep < 1.0);
+        // A pruned run locates kept slots only, so the other masks run over
+        // the same block with PAP off, where every slot is located.
+        let (locs, _, _) =
+            last_block(&PruneSettings { pap: None, ..PruneSettings::paper_defaults() });
         let masks = [
-            ("all", vec![true; locs.len()]),
-            ("none", vec![false; locs.len()]),
-            ("pap", pap),
-            ("random", random_mask(locs.len(), 19, 7)),
+            ("all", &locs, vec![true; locs.len()]),
+            ("none", &locs, vec![false; locs.len()]),
+            ("pap", &pruned_locs, pap),
+            ("random", &locs, random_mask(locs.len(), 19, 7)),
         ];
         for mapping in [BankMapping::InterLevel, BankMapping::IntraLevel] {
             for fused in [true, false] {
                 for fmap_reuse in [true, false] {
                     let settings = MsgsSettings { mapping, fused, fmap_reuse };
                     let engine = MsgsEngine::new(&cfg, settings).unwrap();
-                    for (label, keep) in &masks {
-                        let expect = reference_msgs_block(&cfg, settings, &locs, keep, pixel_keep);
+                    for (label, locs, keep) in &masks {
+                        let expect = reference_msgs_block(&cfg, settings, locs, keep, pixel_keep);
                         for threads in [1, 4] {
                             let mut counters = EventCounters::new();
                             let stats = with_num_threads(threads, || {
-                                engine.run_block(&locs, keep, pixel_keep, &mut counters).unwrap()
+                                engine.run_block(locs, keep, pixel_keep, &mut counters).unwrap()
                             });
                             let at = format!("{settings:?} {label} mask, {threads} threads");
                             assert_eq!((stats, counters), expect, "{at}");
