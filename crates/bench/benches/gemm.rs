@@ -1,11 +1,10 @@
-//! Criterion: GEMM kernels (tiled vs seed blocked vs naive, masked).
+//! Criterion: GEMM kernels (tiled vs naive, masked).
 //!
-//! `gemm_512/tiled_parallel` vs `gemm_512/blocked_seed` is the acceptance
-//! comparison for the tiled micro-kernel rebuild: the tiled kernel must
-//! deliver ≥ 4× the seed blocked kernel's throughput at 512×512×512.
+//! `gemm_512` measures the tiled micro-kernel parallel, single-threaded and
+//! through the allocation-free `_into` entry point.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use defa_tensor::matmul::{matmul, matmul_blocked, matmul_into, matmul_naive, matmul_row_masked};
+use defa_tensor::matmul::{matmul, matmul_into, matmul_naive, matmul_row_masked};
 use defa_tensor::rng::TensorRng;
 use defa_tensor::{Scratch, Tensor};
 
@@ -18,9 +17,6 @@ fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_256");
     group.bench_function("tiled_parallel", |bch| {
         bch.iter(|| matmul(std::hint::black_box(&a), std::hint::black_box(&b)).unwrap())
-    });
-    group.bench_function("blocked_seed", |bch| {
-        bch.iter(|| matmul_blocked(std::hint::black_box(&a), std::hint::black_box(&b)).unwrap())
     });
     group.bench_function("naive", |bch| {
         bch.iter(|| matmul_naive(std::hint::black_box(&a), std::hint::black_box(&b)).unwrap())
@@ -54,9 +50,6 @@ fn bench_gemm_512(c: &mut Criterion) {
             matmul_into(std::hint::black_box(&a), std::hint::black_box(&b), &mut out, &mut scratch)
                 .unwrap()
         })
-    });
-    group.bench_function("blocked_seed", |bch| {
-        bch.iter(|| matmul_blocked(std::hint::black_box(&a), std::hint::black_box(&b)).unwrap())
     });
     group.finish();
 }

@@ -6,7 +6,7 @@ use defa_bench::table::{pct, print_table};
 use defa_bench::RunOptions;
 use defa_core::{MsgsEngine, MsgsSettings};
 use defa_model::workload::{Benchmark, SyntheticWorkload};
-use defa_prune::pipeline::{run_pruned_encoder_observed, PruneSettings};
+use defa_prune::pipeline::{run_pruned_encoder_observed_from, PruneSettings};
 
 /// Runs every block's MSGS through an engine configuration and returns the
 /// memory-energy split `(dram_pj, sram_pj)`.
@@ -17,7 +17,8 @@ fn msgs_memory_energy(
     let engine = MsgsEngine::new(wl.config(), settings)?;
     let mut counters = EventCounters::new();
     let mut err = None;
-    run_pruned_encoder_observed(wl, &PruneSettings::paper_defaults(), |_, out, info| {
+    let settings = PruneSettings::paper_defaults();
+    run_pruned_encoder_observed_from(wl, &settings, wl.initial_fmap(), |_, out, info| {
         if err.is_some() {
             return;
         }

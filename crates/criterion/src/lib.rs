@@ -8,8 +8,8 @@
 //! network access exists.
 //!
 //! Measurement model: per benchmark, a short calibration pass sizes a
-//! batch to ~`BATCH_TARGET`, a warm-up runs for [`WARMUP`], then batches
-//! are timed until [`MEASURE`] elapses. The mean, best and worst batch
+//! batch to ~`BATCH_TARGET`, a warm-up runs for `WARMUP`, then batches
+//! are timed until `MEASURE` elapses. The mean, best and worst batch
 //! averages are printed in a criterion-like `time: [lo mean hi]` line.
 
 use std::hint::black_box;

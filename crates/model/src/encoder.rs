@@ -6,7 +6,7 @@
 //! *k+1*. This inter-block data dependence is what lets FWP use block *k*'s
 //! sampling frequencies to prune block *k+1*'s pixels.
 
-use crate::reference::{LayerMasks, LayerOutput};
+use crate::reference::LayerOutput;
 use crate::workload::SyntheticWorkload;
 use crate::{FmapPyramid, ModelError};
 use defa_tensor::Tensor;
@@ -45,24 +45,13 @@ pub struct EncoderTrace {
     pub final_features: Tensor,
 }
 
-impl EncoderTrace {
-    /// Output tensor of the last block (before the final residual update).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty, which `run_encoder` never produces.
-    pub fn last_output(&self) -> &Tensor {
-        &self.blocks.last().expect("encoder ran at least one block").output
-    }
-}
-
 /// Runs every block of a workload's encoder exactly (no pruning).
 ///
 /// # Errors
 ///
 /// Propagates shape errors from the layer evaluations.
 pub fn run_encoder(wl: &SyntheticWorkload) -> Result<EncoderTrace, ModelError> {
-    run_encoder_masked(wl, |_, _| LayerMasks::default())
+    run_encoder_from(wl, wl.initial_fmap())
 }
 
 /// [`run_encoder`] over a caller-provided initial feature pyramid.
@@ -80,48 +69,11 @@ pub fn run_encoder_from(
     wl: &SyntheticWorkload,
     initial: &FmapPyramid,
 ) -> Result<EncoderTrace, ModelError> {
-    run_encoder_masked_from(wl, initial, |_, _| LayerMasks::default())
-}
-
-/// Runs the encoder, asking `mask_for` for the masks of each block.
-///
-/// `mask_for(block_index, previous_output)` is called before each block;
-/// for block 0 the previous output is `None`. The returned masks must
-/// borrow from state owned by the caller (typically mask buffers it updates
-/// as blocks complete).
-///
-/// # Errors
-///
-/// Propagates shape errors from the layer evaluations.
-pub fn run_encoder_masked<'a, F>(
-    wl: &SyntheticWorkload,
-    mask_for: F,
-) -> Result<EncoderTrace, ModelError>
-where
-    F: FnMut(usize, Option<&LayerOutput>) -> LayerMasks<'a>,
-{
-    run_encoder_masked_from(wl, wl.initial_fmap(), mask_for)
-}
-
-/// [`run_encoder_masked`] over a caller-provided initial feature pyramid.
-///
-/// # Errors
-///
-/// Propagates shape errors from the layer evaluations.
-pub fn run_encoder_masked_from<'a, F>(
-    wl: &SyntheticWorkload,
-    initial: &FmapPyramid,
-    mut mask_for: F,
-) -> Result<EncoderTrace, ModelError>
-where
-    F: FnMut(usize, Option<&LayerOutput>) -> LayerMasks<'a>,
-{
     let cfg = wl.config();
     let mut x = initial.clone();
     let mut blocks: Vec<LayerOutput> = Vec::with_capacity(cfg.n_layers);
     for k in 0..cfg.n_layers {
-        let masks = mask_for(k, blocks.last());
-        let out = wl.layer(k)?.forward_masked(&x, Some(wl.warp()), &masks)?;
+        let out = wl.layer(k)?.forward(&x, Some(wl.warp()))?;
         let next = block_update(x.tensor(), &out.output)?;
         x = FmapPyramid::from_tensor(cfg, next)?;
         blocks.push(out);
@@ -163,16 +115,6 @@ mod tests {
         let trace = run_encoder(&wl).unwrap();
         assert!(trace.final_features.max_abs() < 50.0);
         assert!(trace.final_features.max_abs() > 1e-3);
-    }
-
-    #[test]
-    fn masked_run_with_trivial_masks_matches_exact() {
-        let cfg = MsdaConfig::tiny();
-        let wl = SyntheticWorkload::generate(Benchmark::DnDetr, &cfg, 3).unwrap();
-        let exact = run_encoder(&wl).unwrap();
-        let masked = run_encoder_masked(&wl, |_, _| LayerMasks::default()).unwrap();
-        let err = masked.final_features.relative_l2_error(&exact.final_features).unwrap();
-        assert!(err < 1e-6);
     }
 
     #[test]

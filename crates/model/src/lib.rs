@@ -12,6 +12,13 @@
 //! 4. multi-scale grid-sampling via bilinear interpolation ([`bilinear`]),
 //! 5. probability-weighted aggregation and head concatenation.
 //!
+//! [`MsdaLayer::forward`] is the one exact evaluation; it is built from
+//! the public stages ([`MsdaLayer::attention_probs`],
+//! [`reference::generate_locations`], [`MsdaLayer::sample_and_aggregate`])
+//! that the pruned pipeline in `defa-prune` drives under its masks. INT-N
+//! inference is emulated with fake-quantized weights from
+//! [`SyntheticWorkload::quantized_layers`].
+//!
 //! On top of the single layer, [`encoder`] stacks residual MSDeformAttn
 //! blocks the way the Deformable-DETR-family encoders do, which is what
 //! makes frequency-weighted pruning across consecutive blocks meaningful.
@@ -44,7 +51,6 @@ pub mod encoder;
 pub mod error;
 pub mod flops;
 pub mod fmap;
-pub mod quantized;
 pub mod reference;
 pub mod sampling;
 pub mod workload;

@@ -7,7 +7,7 @@ use crate::sampling::{
 };
 use crate::workload::SaliencyWarp;
 use crate::{FmapPyramid, ModelError, MsdaConfig};
-use defa_tensor::matmul::{matmul, matmul_row_masked};
+use defa_tensor::matmul::matmul;
 use defa_tensor::softmax::softmax_inplace;
 use defa_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -243,19 +243,6 @@ pub struct LayerOutput {
     pub output: Tensor,
 }
 
-/// Masks that restrict a layer evaluation to surviving data.
-///
-/// `fmap_mask[token]` keeps/drops value rows (FWP); `point_mask[global_slot]`
-/// keeps/drops sampling points (PAP), with
-/// `global_slot = query · points_per_query + slot`.
-#[derive(Debug, Clone, Default)]
-pub struct LayerMasks<'a> {
-    /// Optional feature-map pixel mask, length `N_in`.
-    pub fmap: Option<&'a [bool]>,
-    /// Optional sampling-point mask, length `N_in · N_h·N_l·N_p`.
-    pub points: Option<&'a [bool]>,
-}
-
 /// One MSDeformAttn layer: configuration plus weights.
 #[derive(Debug, Clone)]
 pub struct MsdaLayer {
@@ -295,7 +282,10 @@ impl MsdaLayer {
 
     /// Evaluates the layer exactly (no pruning).
     ///
-    /// In the encoder, queries and feature map coincide: `Q = X`.
+    /// In the encoder, queries and feature map coincide: `Q = X`. The
+    /// stages run in the DEFA dataflow order (§4.1): probabilities, offset
+    /// projection and locations, value projection, then MSGS +
+    /// aggregation.
     ///
     /// # Errors
     ///
@@ -305,29 +295,13 @@ impl MsdaLayer {
         x: &FmapPyramid,
         warp: Option<&SaliencyWarp>,
     ) -> Result<LayerOutput, ModelError> {
-        self.forward_masked(x, warp, &LayerMasks::default())
-    }
-
-    /// Evaluates the layer with optional FWP/PAP masks applied.
-    ///
-    /// Masked fmap pixels are excluded from the value projection (their `V`
-    /// rows stay zero, so any sample touching them reads zero — exactly the
-    /// accelerator's behaviour after the compression unit drops them).
-    /// Masked sampling points are skipped entirely; surviving probabilities
-    /// are *not* renormalized, matching the paper's PAP description.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::ShapeMismatch`] if a mask has the wrong length
-    /// or the pyramid disagrees with the configuration.
-    pub fn forward_masked(
-        &self,
-        x: &FmapPyramid,
-        warp: Option<&SaliencyWarp>,
-        masks: &LayerMasks<'_>,
-    ) -> Result<LayerOutput, ModelError> {
         let (logits, probs) = self.attention_probs(x)?;
-        self.forward_precomputed(x, logits, probs, warp, masks)
+        let q = x.tensor();
+        let offsets = matmul(q, &self.weights.w_offset)?;
+        let locations = generate_locations(&self.cfg, &self.references, &offsets, warp)?;
+        let value = matmul(q, &self.weights.w_value)?;
+        let output = self.sample_and_aggregate(&probs, &locations, &value, None)?;
+        Ok(LayerOutput { logits, probs, offsets, locations, value, output })
     }
 
     /// Computes only the attention logits and per-head probabilities.
@@ -372,65 +346,6 @@ impl MsdaLayer {
         Ok((logits, probs))
     }
 
-    /// Finishes a block evaluation from precomputed logits/probabilities.
-    ///
-    /// This is the remainder of the DEFA dataflow: masked offset projection,
-    /// masked value projection, MSGS and aggregation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::ShapeMismatch`] on any mask or tensor shape
-    /// disagreement.
-    pub fn forward_precomputed(
-        &self,
-        x: &FmapPyramid,
-        logits: Tensor,
-        probs: Tensor,
-        warp: Option<&SaliencyWarp>,
-        masks: &LayerMasks<'_>,
-    ) -> Result<LayerOutput, ModelError> {
-        let cfg = &self.cfg;
-        let n = cfg.n_in();
-        let ppq = cfg.points_per_query();
-        if probs.shape().dims() != [n, ppq] || logits.shape().dims() != [n, ppq] {
-            return Err(ModelError::ShapeMismatch(format!(
-                "probs {} expected [{n}, {ppq}]",
-                probs.shape()
-            )));
-        }
-        if let Some(fm) = masks.fmap {
-            if fm.len() != n {
-                return Err(ModelError::ShapeMismatch(format!(
-                    "fmap mask length {} expected {n}",
-                    fm.len()
-                )));
-            }
-        }
-        if let Some(pm) = masks.points {
-            if pm.len() != n * ppq {
-                return Err(ModelError::ShapeMismatch(format!(
-                    "point mask length {} expected {}",
-                    pm.len(),
-                    n * ppq
-                )));
-            }
-        }
-
-        let q = x.tensor();
-        let offsets = matmul(q, &self.weights.w_offset)?;
-
-        let locations = generate_locations(cfg, &self.references, &offsets, warp)?;
-
-        let value = match masks.fmap {
-            Some(fm) => matmul_row_masked(q, &self.weights.w_value, fm)?,
-            None => matmul(q, &self.weights.w_value)?,
-        };
-
-        let output = self.sample_and_aggregate(&probs, &locations, &value, masks.points)?;
-
-        Ok(LayerOutput { logits, probs, offsets, locations, value, output })
-    }
-
     /// MSGS + aggregation: bilinear-samples `value` at every surviving
     /// location and sums probability-weighted samples per head.
     ///
@@ -438,25 +353,11 @@ impl MsdaLayer {
     /// model) can substitute their own location tables — e.g. after range
     /// clamping — while reusing the golden sampling/aggregation kernel.
     ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError`] if tensor shapes disagree with the
-    /// configuration.
-    pub fn sample_and_aggregate(
-        &self,
-        probs: &Tensor,
-        locations: &[SamplePoint],
-        value: &Tensor,
-        point_mask: Option<&[bool]>,
-    ) -> Result<Tensor, ModelError> {
-        let mut output = Tensor::zeros([0]);
-        self.sample_and_aggregate_into(probs, locations, value, point_mask, &mut output)?;
-        Ok(output)
-    }
-
-    /// [`MsdaLayer::sample_and_aggregate`] writing into a caller-provided
-    /// tensor (allocation reused when large enough) — the allocation-free
-    /// entry point for per-block drivers.
+    /// `point_mask[query · points_per_query + slot]` keeps or drops a
+    /// sampling point (PAP). Dropped points are skipped entirely and the
+    /// surviving probabilities are *not* renormalized, matching the paper's
+    /// PAP description; an FWP-pruned pixel reads zero because the caller's
+    /// row-masked value projection left its `value` row zero.
     ///
     /// Queries are independent, so their output rows are computed in
     /// parallel; each row's neighbor accumulation runs in the same fixed
@@ -466,15 +367,15 @@ impl MsdaLayer {
     /// # Errors
     ///
     /// Returns [`ModelError`] if tensor shapes disagree with the
-    /// configuration.
-    pub fn sample_and_aggregate_into(
+    /// configuration, or [`ModelError::ShapeMismatch`] if `point_mask` does
+    /// not have one entry per location.
+    pub fn sample_and_aggregate(
         &self,
         probs: &Tensor,
         locations: &[SamplePoint],
         value: &Tensor,
         point_mask: Option<&[bool]>,
-        output: &mut Tensor,
-    ) -> Result<(), ModelError> {
+    ) -> Result<Tensor, ModelError> {
         let cfg = &self.cfg;
         // The number of queries is the probability tensor's row count:
         // it equals `n_in` for encoder self-attention but is the object
@@ -524,12 +425,11 @@ impl MsdaLayer {
             }
         }
 
-        output.resize_reuse([n, d]);
+        let mut output = Tensor::zeros([n, d]);
         // Each query's aggregation walks ppq points x 4 neighbors x dh
         // channels — substantial, so the gate is on the point count alone.
         let parallel = n * ppq >= PAR_MIN_ELEMS / 4;
         defa_parallel::par_chunks_mut_if(parallel, output.as_mut_slice(), d, |i, orow_all| {
-            orow_all.fill(0.0);
             let prow = &pdata[i * ppq..(i + 1) * ppq];
             let qlocs = &locations[i * ppq..(i + 1) * ppq];
             // Slots in increasing order: every head accumulates its own
@@ -562,7 +462,7 @@ impl MsdaLayer {
                 None => (0..ppq).for_each(accumulate),
             }
         });
-        Ok(())
+        Ok(output)
     }
 }
 
@@ -570,6 +470,7 @@ impl MsdaLayer {
 mod tests {
     use super::*;
     use crate::workload::{Benchmark, SyntheticWorkload};
+    use defa_tensor::matmul::matmul_row_masked;
     use defa_tensor::rng::TensorRng;
 
     fn tiny_layer(seed: u64) -> (MsdaConfig, MsdaLayer, FmapPyramid) {
@@ -626,57 +527,46 @@ mod tests {
         let exact = layer.forward(&x, None).unwrap();
         let fmap_mask = vec![true; cfg.n_in()];
         let point_mask = vec![true; cfg.n_in() * cfg.points_per_query()];
-        let masked = layer
-            .forward_masked(
-                &x,
-                None,
-                &LayerMasks { fmap: Some(&fmap_mask), points: Some(&point_mask) },
-            )
+        let value = matmul_row_masked(x.tensor(), &layer.weights().w_value, &fmap_mask).unwrap();
+        assert_eq!(value, exact.value);
+        let output = layer
+            .sample_and_aggregate(&exact.probs, &exact.locations, &value, Some(&point_mask))
             .unwrap();
-        assert!(masked.output.relative_l2_error(&exact.output).unwrap() < 1e-6);
+        assert_eq!(output, exact.output);
     }
 
     #[test]
     fn all_false_point_mask_zeroes_output() {
         let (cfg, layer, x) = tiny_layer(4);
+        let exact = layer.forward(&x, None).unwrap();
         let point_mask = vec![false; cfg.n_in() * cfg.points_per_query()];
-        let masked = layer
-            .forward_masked(&x, None, &LayerMasks { fmap: None, points: Some(&point_mask) })
+        let output = layer
+            .sample_and_aggregate(&exact.probs, &exact.locations, &exact.value, Some(&point_mask))
             .unwrap();
-        assert_eq!(masked.output.max_abs(), 0.0);
+        assert_eq!(output.max_abs(), 0.0);
     }
 
     #[test]
     fn masking_low_probability_points_changes_little() {
-        let (cfg, layer, x) = tiny_layer(5);
+        let (_, layer, x) = tiny_layer(5);
         let exact = layer.forward(&x, None).unwrap();
         // Drop points with probability < 1%: output should barely move.
-        let ppq = cfg.points_per_query();
-        let mut mask = vec![true; cfg.n_in() * ppq];
-        for i in 0..cfg.n_in() {
-            let row = exact.probs.row(i).unwrap();
-            for s in 0..ppq {
-                if row[s] < 0.01 {
-                    mask[i * ppq + s] = false;
-                }
-            }
-        }
+        let mask: Vec<bool> = exact.probs.as_slice().iter().map(|&p| p >= 0.01).collect();
         let pruned = layer
-            .forward_masked(&x, None, &LayerMasks { fmap: None, points: Some(&mask) })
+            .sample_and_aggregate(&exact.probs, &exact.locations, &exact.value, Some(&mask))
             .unwrap();
-        let err = pruned.output.relative_l2_error(&exact.output).unwrap();
+        let err = pruned.relative_l2_error(&exact.output).unwrap();
         assert!(err < 0.05, "err={err}");
     }
 
     #[test]
     fn mask_length_is_validated() {
         let (_, layer, x) = tiny_layer(6);
+        let exact = layer.forward(&x, None).unwrap();
         let short = vec![true; 3];
+        assert!(matmul_row_masked(x.tensor(), &layer.weights().w_value, &short).is_err());
         assert!(layer
-            .forward_masked(&x, None, &LayerMasks { fmap: Some(&short), points: None })
-            .is_err());
-        assert!(layer
-            .forward_masked(&x, None, &LayerMasks { fmap: None, points: Some(&short) })
+            .sample_and_aggregate(&exact.probs, &exact.locations, &exact.value, Some(&short))
             .is_err());
     }
 

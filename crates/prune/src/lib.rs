@@ -14,8 +14,10 @@
 //!   on-chip working set (a unified range would cost ~25 % extra storage).
 //!
 //! [`pipeline`] ties them together into a pruned encoder run with the
-//! block-to-block mask propagation of the DEFA dataflow, and [`stats`]
-//! produces the reduction ratios of Fig. 6(b).
+//! block-to-block mask propagation of the DEFA dataflow — the one place
+//! the masks take effect — and [`stats`] produces the reduction ratios of
+//! Fig. 6(b). [`mask`] holds the keep/drop decisions; their wire cost is
+//! accounted in `defa_arch::compress`.
 //!
 //! # Example
 //!
@@ -32,7 +34,6 @@
 //! # }
 //! ```
 
-pub mod codec;
 pub mod error;
 pub mod fwp;
 pub mod histogram;

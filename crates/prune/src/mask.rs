@@ -1,16 +1,16 @@
-//! Bit masks and their compressed-storage accounting.
+//! Keep/drop bit masks.
 //!
 //! Both FWP and PAP record pruning decisions as bit masks (one bit per fmap
 //! pixel / sampling point). The hardware ships masks through the
-//! compression/decompression units, so the mask type also accounts for the
-//! bits a mask costs on chip.
+//! compression/decompression units as `mask + surviving payload`; that
+//! wire-bit arithmetic lives in `defa_arch::compress::compressed_bits`.
 
 use crate::PruneError;
 
 /// A keep/drop bit mask over a linear index space.
 ///
-/// `true` means *keep*. The mask knows its own storage cost: one bit per
-/// entry, which is what the DEFA mask generators emit.
+/// `true` means *keep*; one entry per fmap pixel or sampling point, which
+/// is what the DEFA mask generators emit.
 ///
 /// # Example
 ///
@@ -30,11 +30,6 @@ impl BitMask {
     /// An all-keep mask of length `n`.
     pub fn keep_all(n: usize) -> Self {
         BitMask { bits: vec![true; n] }
-    }
-
-    /// An all-drop mask of length `n`.
-    pub fn drop_all(n: usize) -> Self {
-        BitMask { bits: vec![false; n] }
     }
 
     /// Wraps an explicit keep vector.
@@ -113,20 +108,6 @@ impl BitMask {
         Ok(BitMask { bits: self.bits.iter().zip(&other.bits).map(|(&a, &b)| a && b).collect() })
     }
 
-    /// Storage cost of the bit mask itself, in bits.
-    pub fn mask_storage_bits(&self) -> u64 {
-        self.bits.len() as u64
-    }
-
-    /// Payload bits after compression: only kept entries are stored.
-    ///
-    /// `bits_per_entry` is the width of one masked datum (e.g. 12 for an
-    /// INT12 pixel channel). The compression unit ships
-    /// `mask + surviving payload`.
-    pub fn compressed_payload_bits(&self, bits_per_entry: u64) -> u64 {
-        self.mask_storage_bits() + self.kept() as u64 * bits_per_entry
-    }
-
     /// Iterator over kept indices.
     pub fn iter_kept(&self) -> impl Iterator<Item = usize> + '_ {
         self.bits.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i)
@@ -164,13 +145,6 @@ mod tests {
         let b = BitMask::from_bools(vec![true, false, false]);
         assert_eq!(a.and(&b).unwrap().as_bools(), &[true, false, false]);
         assert!(a.and(&BitMask::keep_all(2)).is_err());
-    }
-
-    #[test]
-    fn compressed_payload_accounting() {
-        let m = BitMask::from_bools(vec![true, false, true, false]);
-        // 4 mask bits + 2 kept entries x 12 bits.
-        assert_eq!(m.compressed_payload_bits(12), 4 + 24);
     }
 
     #[test]

@@ -48,8 +48,8 @@ impl Default for PapConfig {
 
 /// Builds the point mask from a `[N_in, N_h·N_l·N_p]` probability tensor.
 ///
-/// The mask is linearized as `query · points_per_query + slot`, matching
-/// [`defa_model::reference::LayerMasks::points`].
+/// The mask is linearized as `query · points_per_query + slot`, the
+/// `point_mask` layout of [`defa_model::MsdaLayer::sample_and_aggregate`].
 ///
 /// # Errors
 ///

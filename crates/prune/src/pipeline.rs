@@ -108,7 +108,7 @@ pub fn run_pruned_encoder(
     wl: &SyntheticWorkload,
     settings: &PruneSettings,
 ) -> Result<PrunedRun, PruneError> {
-    run_pruned_encoder_observed(wl, settings, |_, _, _| {})
+    run_pruned_encoder_from(wl, settings, wl.initial_fmap())
 }
 
 /// [`run_pruned_encoder`] over a caller-provided initial feature pyramid —
@@ -126,25 +126,10 @@ pub fn run_pruned_encoder_from(
     run_pruned_encoder_observed_from(wl, settings, initial, |_, _, _| {})
 }
 
-/// Runs the pruned encoder, invoking `observe(block_index, layer_output,
-/// prune_info)` after each block — the hook the accelerator model uses to
-/// replay every block on hardware without keeping all outputs in memory.
-///
-/// # Errors
-///
-/// Propagates model and mask errors.
-pub fn run_pruned_encoder_observed<F>(
-    wl: &SyntheticWorkload,
-    settings: &PruneSettings,
-    observe: F,
-) -> Result<PrunedRun, PruneError>
-where
-    F: FnMut(usize, &LayerOutput, &BlockPruneInfo),
-{
-    run_pruned_encoder_observed_from(wl, settings, wl.initial_fmap(), observe)
-}
-
-/// [`run_pruned_encoder_observed`] over a caller-provided initial pyramid.
+/// [`run_pruned_encoder_from`], invoking `observe(block_index,
+/// layer_output, prune_info)` after each block — the hook the accelerator
+/// model uses to replay every block on hardware without keeping all
+/// outputs in memory.
 ///
 /// # Errors
 ///
@@ -313,10 +298,15 @@ mod tests {
     fn observer_sees_every_block() {
         let wl = workload();
         let mut seen = Vec::new();
-        run_pruned_encoder_observed(&wl, &PruneSettings::paper_defaults(), |k, out, info| {
-            seen.push(k);
-            assert_eq!(out.locations.len(), info.point_mask.len());
-        })
+        run_pruned_encoder_observed_from(
+            &wl,
+            &PruneSettings::paper_defaults(),
+            wl.initial_fmap(),
+            |k, out, info| {
+                seen.push(k);
+                assert_eq!(out.locations.len(), info.point_mask.len());
+            },
+        )
         .unwrap();
         assert_eq!(seen, vec![0, 1]);
     }

@@ -150,7 +150,7 @@ const ENERGY_BACKLOG_SLACK: u64 = 4;
 
 /// Greedy energy-first routing with a backlog bound: place the batch on
 /// the lowest-energy shard whose backlog has not run more than
-/// [`ENERGY_BACKLOG_SLACK`] × the fleet's largest estimated batch wall
+/// `ENERGY_BACKLOG_SLACK` × the fleet's largest estimated batch wall
 /// past the decision time; if every efficient shard is saturated, fall
 /// back to the earliest-free one. On a dense+accelerator fleet with
 /// headroom this drains everything through the accelerator; under

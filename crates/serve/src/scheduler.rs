@@ -33,7 +33,7 @@
 //! generation-checked policy heaps (`select_sjf_into` /
 //! `select_edf_into`), which pop each request in `O(log n)` under
 //! exactly the same total order. The old linear scans survive verbatim
-//! in [`reference`] as the oracle the property tests compare pop
+//! in [`mod@reference`] as the oracle the property tests compare pop
 //! sequences against — on randomized queues with duplicate costs,
 //! deadlines and arrival times, the heaps must reproduce the scans'
 //! output byte for byte.

@@ -8,8 +8,10 @@
 //!   attention (queries, weights, feature maps, probabilities).
 //! * [`matmul`] — GEMM kernels used by the functional reference model and
 //!   by the accelerator's matrix-mode golden checks: a register-tiled,
-//!   row-parallel production kernel plus the naive golden reference and
-//!   the original blocked kernel as benchmark baseline.
+//!   row-parallel production kernel (dense and row-masked) plus the naive
+//!   golden reference.
+//! * [`qlinear`] — the integer GEMM the INT12 PE array performs, the
+//!   golden for the integer datapath.
 //! * [`scratch`] — a reusable [`Scratch`] arena so the hot kernels stop
 //!   allocating per call.
 //! * [`softmax`] — numerically stable softmax over the trailing axis.

@@ -1,19 +1,17 @@
 //! Matrix multiplication kernels.
 //!
 //! The functional reference model multiplies large activation matrices
-//! (`Q·Wᴬ`, `Q·Wˢ`, `X·Wᵥ`), so a fast kernel matters. Three
+//! (`Q·Wᴬ`, `Q·Wˢ`, `X·Wᵥ`), so a fast kernel matters. Two
 //! implementations are provided:
 //!
 //! * [`matmul`] / [`matmul_row_masked`] — the production kernel: a
-//!   register-tiled micro-kernel ([`MR`]×[`NR`] accumulators held in
-//!   registers, packed-B panels, an unrolled FMA inner loop that
+//!   register-tiled micro-kernel (`MR` rows × one panel width of
+//!   accumulators held in registers, packed-B panels, an unrolled FMA inner loop that
 //!   auto-vectorizes) with the row dimension parallelized across threads
 //!   via `defa-parallel`. Packing buffers come from a [`Scratch`] arena
 //!   (thread-local for the convenience entry points), so steady-state
 //!   calls allocate nothing beyond the output tensor — and the `_into`
 //!   variants not even that.
-//! * [`matmul_blocked`] — the original cache-blocked triple loop kept as
-//!   the performance baseline the benches compare against.
 //! * [`matmul_naive`] — the golden reference for tests.
 //!
 //! Results are **bit-identical for any thread count**: every `MR`-row band
@@ -22,9 +20,6 @@
 
 use crate::scratch::{with_thread_scratch, Scratch};
 use crate::{Tensor, TensorError};
-
-/// Block edge used by [`matmul_blocked`]. 64×64 f32 blocks fit in L1/L2.
-const BLOCK: usize = 64;
 
 /// Rows of A processed at once by the micro-kernel. Six rows give the FMA
 /// units 12 independent accumulator registers at every panel width (2
@@ -123,43 +118,6 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
             }
             for j in 0..n {
                 ov[i * n + j] += aip * bv[p * n + j];
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// The seed's cache-blocked GEMM, kept as the benchmark baseline the tiled
-/// kernel is measured against.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] unless `a` is `[m, k]` and `b` is
-/// `[k, n]`.
-pub fn matmul_blocked(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let (m, k, n) = check_dims(a, b, "matmul_blocked")?;
-    let mut out = Tensor::zeros([m, n]);
-    let (av, bv) = (a.as_slice(), b.as_slice());
-    let ov = out.as_mut_slice();
-    for i0 in (0..m).step_by(BLOCK) {
-        let i1 = (i0 + BLOCK).min(m);
-        for p0 in (0..k).step_by(BLOCK) {
-            let p1 = (p0 + BLOCK).min(k);
-            for j0 in (0..n).step_by(BLOCK) {
-                let j1 = (j0 + BLOCK).min(n);
-                for i in i0..i1 {
-                    for p in p0..p1 {
-                        let aip = av[i * k + p];
-                        if aip == 0.0 {
-                            continue;
-                        }
-                        let brow = &bv[p * n + j0..p * n + j1];
-                        let orow = &mut ov[i * n + j0..i * n + j1];
-                        for (o, &bx) in orow.iter_mut().zip(brow) {
-                            *o += aip * bx;
-                        }
-                    }
-                }
             }
         }
     }
@@ -526,16 +484,6 @@ mod tests {
             let err = fast.relative_l2_error(&gold).unwrap();
             assert!(err < 1e-5, "({m},{k},{n}) err={err}");
         }
-    }
-
-    #[test]
-    fn blocked_baseline_matches_naive() {
-        let mut rng = TensorRng::seed_from(8);
-        let a = rng.uniform([65, 70], -1.0, 1.0);
-        let b = rng.uniform([70, 67], -1.0, 1.0);
-        let blocked = matmul_blocked(&a, &b).unwrap();
-        let gold = matmul_naive(&a, &b).unwrap();
-        assert!(blocked.relative_l2_error(&gold).unwrap() < 1e-5);
     }
 
     #[test]

@@ -4,11 +4,12 @@
 use defa_core::runner::DefaAccelerator;
 use defa_core::{MsgsEngine, MsgsSettings};
 use defa_model::decoder::{CrossMsdaLayer, DecoderConfig};
-use defa_model::reference::{LayerMasks, MsdaLayer, MsdaWeights};
+use defa_model::reference::{MsdaLayer, MsdaWeights};
 use defa_model::workload::{Benchmark, SyntheticWorkload};
 use defa_model::{FmapPyramid, LevelShape, MsdaConfig};
 use defa_prune::pipeline::PruneSettings;
 use defa_prune::{FwpConfig, PapConfig};
+use defa_tensor::matmul::matmul_row_masked;
 use defa_tensor::{QuantParams, Tensor};
 
 #[test]
@@ -85,9 +86,13 @@ fn mask_length_mismatches_error_not_panic() {
     let cfg = MsdaConfig::tiny();
     let wl = SyntheticWorkload::generate(Benchmark::DnDetr, &cfg, 2).unwrap();
     let layer = wl.layer(0).unwrap();
+    let x = wl.initial_fmap();
+    let out = layer.forward(x, None).unwrap();
     let bogus = vec![true; 1];
-    let masks = LayerMasks { fmap: Some(&bogus), points: None };
-    assert!(layer.forward_masked(wl.initial_fmap(), None, &masks).is_err());
+    assert!(matmul_row_masked(x.tensor(), &layer.weights().w_value, &bogus).is_err());
+    assert!(layer
+        .sample_and_aggregate(&out.probs, &out.locations, &out.value, Some(&bogus))
+        .is_err());
 }
 
 #[test]

@@ -7,7 +7,7 @@ use defa_core::runner::DefaAccelerator;
 use defa_core::{MsgsEngine, MsgsSettings};
 use defa_model::workload::{Benchmark, SyntheticWorkload};
 use defa_model::MsdaConfig;
-use defa_prune::pipeline::{run_pruned_encoder, run_pruned_encoder_observed, PruneSettings};
+use defa_prune::pipeline::{run_pruned_encoder, run_pruned_encoder_observed_from, PruneSettings};
 
 /// Fig. 1(b): MSGS + aggregation dominate GPU latency.
 #[test]
@@ -67,7 +67,8 @@ fn fig7b_memory_savings() {
     let run_msgs = |settings: MsgsSettings| {
         let engine = MsgsEngine::new(&cfg, settings).unwrap();
         let mut counters = EventCounters::new();
-        run_pruned_encoder_observed(&wl, &PruneSettings::paper_defaults(), |_, out, info| {
+        let settings = PruneSettings::paper_defaults();
+        run_pruned_encoder_observed_from(&wl, &settings, wl.initial_fmap(), |_, out, info| {
             engine
                 .run_block(
                     &out.locations,

@@ -13,17 +13,18 @@ use defa_arch::{
 use defa_core::{MsgsEngine, MsgsSettings, MsgsStats};
 use defa_model::bilinear::Footprint;
 use defa_model::encoder::run_encoder;
-use defa_model::reference::{generate_kept_locations, generate_locations, LayerMasks};
+use defa_model::reference::{generate_kept_locations, generate_locations};
 use defa_model::sampling::{point_slot, query_sample_points_into};
 use defa_model::workload::{Benchmark, SyntheticWorkload};
 use defa_model::{ModelError, MsdaConfig, SamplePoint};
 use defa_parallel::with_num_threads;
 use defa_prune::fwp::SampleFrequency;
 use defa_prune::pap::{point_mask, PapConfig};
-use defa_prune::pipeline::{run_pruned_encoder, run_pruned_encoder_observed, PruneSettings};
+use defa_prune::pipeline::{run_pruned_encoder, run_pruned_encoder_observed_from, PruneSettings};
 use defa_prune::range::clamp_locations;
 use defa_prune::{BoundedRange, PruneError, RangeConfig};
 use defa_tensor::matmul::{matmul, matmul_naive};
+use defa_tensor::qlinear::quantized_matmul;
 use defa_tensor::rng::{splitmix64, TensorRng};
 use defa_tensor::{QuantParams, Tensor};
 
@@ -42,23 +43,7 @@ fn pipeline_disabled_equals_encoder() {
     }
 }
 
-/// `forward` equals `attention_probs` + `forward_precomputed`.
-#[test]
-fn staged_forward_equals_monolithic() {
-    let cfg = MsdaConfig::tiny();
-    let wl = SyntheticWorkload::generate(Benchmark::DnDetr, &cfg, 12).unwrap();
-    let layer = wl.layer(0).unwrap();
-    let x = wl.initial_fmap();
-    let mono = layer.forward(x, Some(wl.warp())).unwrap();
-    let (logits, probs) = layer.attention_probs(x).unwrap();
-    let staged = layer
-        .forward_precomputed(x, logits, probs, Some(wl.warp()), &LayerMasks::default())
-        .unwrap();
-    assert_eq!(mono.output, staged.output);
-    assert_eq!(mono.locations, staged.locations);
-}
-
-/// Blocked GEMM agrees with the naive reference at model-relevant shapes.
+/// The tiled GEMM agrees with the naive reference at model-relevant shapes.
 #[test]
 fn gemm_agrees_at_model_shapes() {
     let mut rng = TensorRng::seed_from(9);
@@ -86,9 +71,10 @@ fn pipelines_agree_on_sampling_geometry() {
     let wl = SyntheticWorkload::generate(Benchmark::Dino, &cfg, 13).unwrap();
     let mono = wl.layer(0).unwrap().forward(wl.initial_fmap(), Some(wl.warp())).unwrap();
     let mut first_block_locations = None;
-    defa_prune::pipeline::run_pruned_encoder_observed(
+    run_pruned_encoder_observed_from(
         &wl,
         &PruneSettings { range_narrowing: false, ..PruneSettings::disabled() },
+        wl.initial_fmap(),
         |k, out, _| {
             if k == 0 {
                 first_block_locations = Some(out.locations.clone());
@@ -371,6 +357,37 @@ fn memoized_quantized_layers_equal_a_fresh_fit() {
     }
 }
 
+/// The integer-datapath golden (INT-N codes, `i64` accumulation, one
+/// output scale) equals the pipeline's INT-N emulation — fake-quantized
+/// activations times the memoized fake-quantized weights it runs — up to
+/// `f32` accumulation rounding, for every projection of every layer.
+#[test]
+fn integer_gemm_equals_fake_quantized_pipeline_weights() {
+    for bench in Benchmark::all() {
+        for cfg in [MsdaConfig::tiny(), MsdaConfig::small()] {
+            let wl = SyntheticWorkload::generate(bench, &cfg, 5).unwrap();
+            let x = wl.initial_fmap().tensor();
+            for bits in [8u8, 12] {
+                let xq = QuantParams::fit(x, bits).unwrap().fake_quantize(x);
+                let quantized = wl.quantized_layers(bits).unwrap();
+                for (k, (layer, q)) in wl.layers().iter().zip(quantized).enumerate() {
+                    let (w, qw) = (layer.weights(), q.weights());
+                    for (name, w, qw) in [
+                        ("attn", &w.w_attn, &qw.w_attn),
+                        ("offset", &w.w_offset, &qw.w_offset),
+                        ("value", &w.w_value, &qw.w_value),
+                    ] {
+                        let integer = quantized_matmul(x, w, bits).unwrap();
+                        let emulated = matmul(&xq, qw).unwrap();
+                        let err = integer.relative_l2_error(&emulated).unwrap();
+                        assert!(err < 1e-5, "{bench} {bits}-bit layer {k} {name}: {err}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The MSGS engine's block simulation as a plain sequential reference.
 ///
 /// Every slot of every `(query, head)` group is visited; a group's kept
@@ -472,7 +489,7 @@ fn msgs_engine_equals_per_group_reference() {
         // the FWP keep fraction of its value projection.
         let last_block = |settings: &PruneSettings| {
             let mut block = None;
-            run_pruned_encoder_observed(&wl, settings, |_, out, info| {
+            run_pruned_encoder_observed_from(&wl, settings, wl.initial_fmap(), |_, out, info| {
                 block = Some((
                     out.locations.clone(),
                     info.point_mask.as_bools().to_vec(),

@@ -158,28 +158,6 @@ fn mask_and_is_an_intersection() {
     });
 }
 
-/// The mask codec round-trips any mask and any payload exactly.
-#[test]
-fn codec_round_trips() {
-    run_cases(128, 0xC0DEC, |rng| {
-        use defa_prune::codec::{CompressedStream, PackedMask};
-        let len = rng.index(200);
-        let bits: Vec<bool> = (0..len).map(|_| rng.chance(0.5)).collect();
-        let values: Vec<f32> = (0..len).map(|_| rng.uniform_value(-100.0, 100.0)).collect();
-        let mask = BitMask::from_bools(bits.clone());
-        assert_eq!(PackedMask::pack(&mask).unpack(), mask);
-        let stream = CompressedStream::compress(&values, &mask).unwrap();
-        let back = stream.decompress();
-        for (i, (&orig, &got)) in values.iter().zip(&back).enumerate() {
-            if mask.is_kept(i).unwrap() {
-                assert_eq!(orig, got);
-            } else {
-                assert_eq!(got, 0.0);
-            }
-        }
-    });
-}
-
 /// The fixed-point BI datapath tracks the real-arithmetic bilinear form
 /// within its quantization grid for arbitrary operands.
 #[test]
