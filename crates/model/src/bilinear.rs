@@ -5,6 +5,13 @@
 //! `N0..N3` (Eq. 3 of the paper). Out-of-range neighbors contribute zero,
 //! matching `grid_sample(..., padding_mode="zeros")` in the official
 //! implementation.
+//!
+//! [`Footprint`] is the per-point reference: FWP's sample counting and the
+//! MSGS engine's bank addressing build one per point, and the golden tests
+//! check the lane-parallel aggregation kernel
+//! ([`crate::MsdaLayer::sample_and_aggregate`]) against a loop over it. That
+//! kernel computes the same weights and bounds tests slot-by-slot in SoA
+//! lanes, with the same [`f32`] expressions.
 
 use crate::LevelShape;
 
@@ -35,21 +42,24 @@ pub struct Footprint {
     pub t1: f32,
 }
 
-/// `x.floor()`, bit for bit, without branches.
+/// `x.floor()`, bit for bit, without branches or integer conversions.
 ///
 /// Without SSE4.1 `f32::floor` lowers to a software routine that branches
 /// on the exponent, sign and fraction — data-dependent branches that
-/// dominated the cost of a bilinear footprint. Below 2²³ in magnitude
-/// truncation through `i32` is exact and only negative non-integers need
-/// the `- 1`; at or above 2²³ (and for infinities and NaN) `x` is its own
-/// floor. `copysign` restores the sign of `-0.0`, the one input whose
-/// truncation loses it.
+/// dominated the cost of a bilinear footprint — and a float-to-int `as`
+/// cast stays scalar. Below 2²³ in magnitude, adding and subtracting 2²³
+/// (with `x`'s sign) rounds `x` to the nearest integer, and only a result
+/// above `x` needs the `- 1`; at or above 2²³ (and for infinities and
+/// NaN) `x` is its own floor. `copysign` restores the sign of `-0.0`, the
+/// one input whose rounding loses it. Only float adds, compares and
+/// selects remain, so it vectorizes across lanes.
 #[inline]
-fn floor(x: f32) -> f32 {
-    let t = x as i32 as f32;
-    let t = if t > x { t - 1.0 } else { t };
+pub(crate) fn floor(x: f32) -> f32 {
+    let magic = 8_388_608f32.copysign(x);
+    let r = (x + magic) - magic;
+    let r = if r > x { r - 1.0 } else { r };
     if x.abs() < 8_388_608.0 {
-        t.copysign(x)
+        r.copysign(x)
     } else {
         x
     }
@@ -167,6 +177,12 @@ mod tests {
             1.0,
             -1.0,
             -1.5,
+            2.5,
+            -2.5,
+            0.499_999_97,
+            -0.499_999_97,
+            4_194_304.5,
+            -4_194_304.5,
             f32::MIN_POSITIVE,
             -f32::MIN_POSITIVE,
             -1e-45,

@@ -6,6 +6,10 @@ use crate::ModelError;
 /// supports at most 8.
 pub(crate) const MAX_LEVELS: usize = 8;
 
+/// Largest level height or width: 2²² pixels keeps every pixel coordinate,
+/// its neighbours and a fractional part exact in `f32`.
+pub(crate) const MAX_EXTENT: usize = 1 << 22;
+
 /// Height × width of one feature-map pyramid level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LevelShape {
@@ -108,8 +112,10 @@ impl MsdaConfig {
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidConfig`] if any extent is zero, if
-    /// `d_model` is not divisible by `n_heads`, or if more than 8 pyramid
-    /// levels are requested (the hardware model supports at most 8).
+    /// `d_model` is not divisible by `n_heads`, if more than 8 pyramid
+    /// levels are requested (the hardware model supports at most 8), if a
+    /// level is more than 2²² pixels high or wide, or if the levels hold
+    /// 2³¹ or more tokens.
     pub fn validate(&self) -> Result<(), ModelError> {
         if self.levels.is_empty() || self.levels.len() > MAX_LEVELS {
             return Err(ModelError::InvalidConfig(format!(
@@ -119,6 +125,18 @@ impl MsdaConfig {
         }
         if self.levels.iter().any(|l| l.h == 0 || l.w == 0) {
             return Err(ModelError::InvalidConfig("level with zero extent".into()));
+        }
+        // The aggregation kernel tests bounds on `f32` pixel coordinates
+        // and indexes tokens in 32-bit lanes.
+        if self.levels.iter().any(|l| l.h > MAX_EXTENT || l.w > MAX_EXTENT) {
+            return Err(ModelError::InvalidConfig(format!("level extent above {MAX_EXTENT}")));
+        }
+        let tokens = self
+            .levels
+            .iter()
+            .try_fold(0usize, |acc, l| l.h.checked_mul(l.w).and_then(|p| acc.checked_add(p)));
+        if tokens.is_none_or(|t| t > i32::MAX as usize) {
+            return Err(ModelError::InvalidConfig("2^31 or more tokens".into()));
         }
         if self.d_model == 0 || self.n_heads == 0 || self.n_points == 0 || self.n_layers == 0 {
             return Err(ModelError::InvalidConfig("zero-sized dimension".into()));
@@ -255,6 +273,14 @@ mod tests {
         let mut cfg = MsdaConfig::tiny();
         cfg.n_points = 0;
         assert!(cfg.validate().is_err());
+
+        let mut cfg = MsdaConfig::tiny();
+        cfg.levels[1] = LevelShape::new(1 << 22, 1 << 22);
+        assert!(cfg.validate().is_err());
+        cfg.levels[1] = LevelShape::new(2, (1 << 22) + 1);
+        assert!(cfg.validate().is_err());
+        cfg.levels[1] = LevelShape::new(1 << 22, 4);
+        cfg.validate().unwrap();
     }
 
     #[test]

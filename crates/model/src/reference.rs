@@ -1,16 +1,16 @@
 //! Functional reference implementation of one MSDeformAttn layer (Eq. 1).
 
-use crate::bilinear::Footprint;
+use crate::bilinear::floor;
 use crate::config::MAX_LEVELS;
 use crate::sampling::{
-    for_each_kept, query_sample_points_into, reference_points, RefPoint, SamplePoint,
+    for_each_kept, pack_keep, query_sample_points_into, reference_points, RefPoint, SamplePoint,
 };
 use crate::workload::SaliencyWarp;
 use crate::{FmapPyramid, ModelError, MsdaConfig};
 use defa_tensor::matmul::matmul;
 use defa_tensor::softmax::softmax_inplace;
 use defa_tensor::Tensor;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Below this many per-query sampling points / probability elements the
 /// per-query loops run sequentially: the scoped-thread helpers have no
@@ -359,16 +359,42 @@ impl MsdaLayer {
     /// PAP description; an FWP-pruned pixel reads zero because the caller's
     /// row-masked value projection left its `value` row zero.
     ///
-    /// Queries are independent, so their output rows are computed in
-    /// parallel; each row's neighbor accumulation runs in the same fixed
-    /// order regardless of thread count, so results are bit-identical to
-    /// the sequential evaluation.
+    /// The kernel processes a query's points in parallel, head by head, in
+    /// two phases (the host side of the paper's multi-scale parallel
+    /// processing):
+    ///
+    /// 1. *Footprints, lane by lane.* The head's slots — under a mask only
+    ///    the kept ones, found by walking the packed keep bits — are copied
+    ///    into SoA lanes. Each block of 8 lanes then computes the bilinear
+    ///    weights with [`Footprint::at`](crate::bilinear::Footprint::at)'s
+    ///    exact `f32` expressions, the in-bounds tests as `f32` compares on
+    ///    the floored coordinates (reading NaN as 0, as the reference's
+    ///    saturating cast does), and the four neighbours' tokens. All of it
+    ///    is float adds, compares and selects, so it vectorizes; a
+    ///    float-to-int `as` cast would not. The lanes are then walked in
+    ///    slot order, `N0..N3` within a slot, into a tap list of `(token,
+    ///    probability × weight)`. A neighbour becomes a tap only when it is
+    ///    inside its level, its weight is nonzero and the slot's
+    ///    probability is nonzero: the per-point reference's skip rules.
+    /// 2. *Accumulation.* For each 8-channel block of the head, the taps
+    ///    are summed into registers seeded from the output, which is
+    ///    stored once; a head dimension that is not a multiple of 8 ends
+    ///    with a scalar tail.
+    ///
+    /// The kernel is instantiated twice, portably and with AVX2 enabled,
+    /// and the AVX2 copy is chosen at runtime when CPUID reports it. The
+    /// bits do not depend on that choice or on the thread count: every
+    /// output channel adds the same products `probability × weight ×
+    /// value` in the same slot order as the sequential per-point loop,
+    /// with separate multiplies and adds (no fused multiply–add), and
+    /// queries — computed in parallel — write disjoint output rows.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError`] if tensor shapes disagree with the
-    /// configuration, or [`ModelError::ShapeMismatch`] if `point_mask` does
-    /// not have one entry per location.
+    /// Returns [`ModelError::ShapeMismatch`] if `probs`, `locations` or
+    /// `value` disagree with the configuration or with each other, if
+    /// `point_mask` does not have one entry per location, or if a location
+    /// the mask keeps names a level the configuration does not have.
     pub fn sample_and_aggregate(
         &self,
         probs: &Tensor,
@@ -376,45 +402,48 @@ impl MsdaLayer {
         value: &Tensor,
         point_mask: Option<&[bool]>,
     ) -> Result<Tensor, ModelError> {
+        self.aggregate_on(has_avx2(), probs, locations, value, point_mask)
+    }
+
+    /// [`Self::sample_and_aggregate`] on the kernel's AVX2 instantiation
+    /// when `avx2` is set (the caller has checked CPUID), else on the
+    /// portable one.
+    fn aggregate_on(
+        &self,
+        avx2: bool,
+        probs: &Tensor,
+        locations: &[SamplePoint],
+        value: &Tensor,
+        point_mask: Option<&[bool]>,
+    ) -> Result<Tensor, ModelError> {
         let cfg = &self.cfg;
+        let ppq = cfg.points_per_query();
         // The number of queries is the probability tensor's row count:
         // it equals `n_in` for encoder self-attention but is the object
         // query count for decoder cross-attention. The column count must
         // be exactly points_per_query — the parallel loop below indexes
         // rows by that stride.
-        if probs.shape().rank() != 2 || probs.shape().dims()[1] != cfg.points_per_query() {
+        if probs.shape().rank() != 2 || probs.shape().dims()[1] != ppq {
             return Err(ModelError::ShapeMismatch(format!(
-                "probs {} expected [n, {}]",
-                probs.shape(),
-                cfg.points_per_query()
+                "probs {} expected [n, {ppq}]",
+                probs.shape()
             )));
         }
         let n = probs.shape().dims()[0];
-        if locations.len() != n * cfg.points_per_query() {
+        if locations.len() != n * ppq {
             return Err(ModelError::ShapeMismatch(format!(
-                "{} locations for {} queries x {} points",
-                locations.len(),
-                n,
-                cfg.points_per_query()
+                "{} locations for {n} queries x {ppq} points",
+                locations.len()
             )));
         }
         let d = cfg.d_model;
-        let dh = cfg.head_dim();
-        let ppq = cfg.points_per_query();
-        let lp = cfg.points_per_head();
-        let vdata = value.as_slice();
-        let pdata = probs.as_slice();
-
-        // Per-level base token offsets for direct indexing into `value`.
-        let mut level_base = Vec::with_capacity(cfg.n_levels());
-        for l in 0..cfg.n_levels() {
-            level_base.push(cfg.level_offset(l)?);
+        if value.shape().dims() != [cfg.n_in(), d] {
+            return Err(ModelError::ShapeMismatch(format!(
+                "value {} expected [{}, {d}]",
+                value.shape(),
+                cfg.n_in()
+            )));
         }
-        let level_base = &level_base[..];
-        // First output channel of each slot's head.
-        let slot_chan: Vec<usize> = (0..ppq).map(|slot| slot / lp * dh).collect();
-        let slot_chan = &slot_chan[..];
-
         if let Some(pm) = point_mask {
             if pm.len() != locations.len() {
                 return Err(ModelError::ShapeMismatch(format!(
@@ -424,45 +453,280 @@ impl MsdaLayer {
                 )));
             }
         }
+        // One entry per possible `u8` level: levels the configuration does
+        // not have keep zero extents, so their neighbours are never in
+        // bounds, and a kept point naming one is reported below.
+        // `validate` bounds extents by 2²² and the token count by 2³¹, so
+        // both are exact in the kernel's `f32` and 32-bit integer lanes.
+        let mut levels = [LevelGeom::default(); 256];
+        let mut base = 0u32;
+        for (g, shape) in levels.iter_mut().zip(&cfg.levels) {
+            *g = LevelGeom { wf: shape.w as f32, hf: shape.h as f32, w: shape.w as u32, base };
+            base += shape.pixels() as u32;
+        }
+        let kernel = AggKernel {
+            levels: &levels,
+            n_levels: cfg.n_levels() as u8,
+            value: value.as_slice(),
+            d,
+            dh: cfg.head_dim(),
+            lp: cfg.points_per_head(),
+        };
+        let pdata = probs.as_slice();
+        let bad_level = AtomicBool::new(false);
 
         let mut output = Tensor::zeros([n, d]);
         // Each query's aggregation walks ppq points x 4 neighbors x dh
         // channels — substantial, so the gate is on the point count alone.
         let parallel = n * ppq >= PAR_MIN_ELEMS / 4;
-        defa_parallel::par_chunks_mut_if(parallel, output.as_mut_slice(), d, |i, orow_all| {
-            let prow = &pdata[i * ppq..(i + 1) * ppq];
-            let qlocs = &locations[i * ppq..(i + 1) * ppq];
-            // Slots in increasing order: every head accumulates its own
-            // channels in the order of the unmasked loop, restricted to
-            // kept points.
-            let accumulate = |slot: usize| {
-                let w = prow[slot];
-                if w == 0.0 {
-                    return;
-                }
-                let chan0 = slot_chan[slot];
-                let orow = &mut orow_all[chan0..chan0 + dh];
-                let pt = qlocs[slot];
-                let shape = cfg.levels[pt.level as usize];
-                let base = level_base[pt.level as usize];
-                for nb in Footprint::at(pt.x, pt.y).in_bounds(shape) {
-                    if nb.weight == 0.0 {
-                        continue;
-                    }
-                    let token = base + nb.y as usize * shape.w + nb.x as usize;
-                    let px = &vdata[token * d + chan0..token * d + chan0 + dh];
-                    let ww = w * nb.weight;
-                    for (o, &v) in orow.iter_mut().zip(px) {
-                        *o += ww * v;
-                    }
-                }
-            };
-            match point_mask {
-                Some(pm) => for_each_kept(&pm[i * ppq..(i + 1) * ppq], accumulate),
-                None => (0..ppq).for_each(accumulate),
+        defa_parallel::par_chunks_mut_if(parallel, output.as_mut_slice(), d, |i, orow| {
+            let rows = i * ppq..(i + 1) * ppq;
+            let keep = point_mask.map(|pm| &pm[rows.clone()]);
+            let bad =
+                kernel.aggregate_query(avx2, &pdata[rows.clone()], &locations[rows], keep, orow);
+            if bad {
+                // Read only after the workers join, so `Relaxed` suffices.
+                bad_level.store(true, Ordering::Relaxed);
             }
         });
+        if bad_level.into_inner() {
+            return Err(ModelError::ShapeMismatch(format!(
+                "a kept location samples a level outside the {} configured",
+                cfg.n_levels()
+            )));
+        }
         Ok(output)
+    }
+}
+
+/// Slots one footprint pass holds. A head with more points runs in several
+/// passes, each continuing the sums of the one before, in slot order.
+const LANES: usize = 32;
+
+/// Lanes per footprint block: one AVX2 register of `f32`. The footprint
+/// loop runs whole blocks, so it vectorizes without a scalar epilogue.
+const LANE_BLOCK: usize = 8;
+
+/// Footprint blocks per pass.
+const BLOCKS: usize = LANES / LANE_BLOCK;
+
+/// Channels one accumulator block holds in registers.
+const CHANNEL_BLOCK: usize = 8;
+
+/// One pyramid level as the aggregation kernel's lanes read it.
+#[derive(Debug, Clone, Copy, Default)]
+struct LevelGeom {
+    /// Width and height as `f32`, exact below [`crate::config::MAX_EXTENT`].
+    wf: f32,
+    hf: f32,
+    w: u32,
+    /// Flat token index of the level's first pixel.
+    base: u32,
+}
+
+/// The read-only inputs of [`MsdaLayer::sample_and_aggregate`]'s kernel,
+/// shared by every query row.
+struct AggKernel<'a> {
+    levels: &'a [LevelGeom; 256],
+    n_levels: u8,
+    value: &'a [f32],
+    d: usize,
+    dh: usize,
+    lp: usize,
+}
+
+/// Whether the host runs the AVX2 instantiation of the aggregation kernel.
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+impl AggKernel<'_> {
+    /// Aggregates one query row into `orow`, on the AVX2 instantiation
+    /// when `avx2` is set. Returns whether a kept slot named a level the
+    /// configuration does not have.
+    fn aggregate_query(
+        &self,
+        avx2: bool,
+        probs: &[f32],
+        locs: &[SamplePoint],
+        keep: Option<&[bool]>,
+        orow: &mut [f32],
+    ) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if avx2 {
+            // SAFETY: `avx2` is only set where `has_avx2` found AVX2
+            // support in CPUID at runtime.
+            return unsafe { self.query_avx2(probs, locs, keep, orow) };
+        }
+        // Other targets have only the portable instantiation.
+        let _ = avx2;
+        self.query_body(probs, locs, keep, orow)
+    }
+
+    /// AVX2 instantiation of [`Self::query_body`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (checked at runtime by [`has_avx2`]).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn query_avx2(
+        &self,
+        probs: &[f32],
+        locs: &[SamplePoint],
+        keep: Option<&[bool]>,
+        orow: &mut [f32],
+    ) -> bool {
+        self.query_body(probs, locs, keep, orow)
+    }
+
+    /// The kernel body for one query row; inlined into each instantiation
+    /// so it is compiled for that instantiation's instruction set.
+    #[inline(always)]
+    fn query_body(
+        &self,
+        probs: &[f32],
+        locs: &[SamplePoint],
+        keep: Option<&[bool]>,
+        orow: &mut [f32],
+    ) -> bool {
+        type Lanes<T> = [[T; LANE_BLOCK]; BLOCKS];
+        let (lp, dh, d) = (self.lp, self.dh, self.d);
+        // Gathered lanes: the point, its probability and its level.
+        let mut xs: Lanes<f32> = Default::default();
+        let mut ys: Lanes<f32> = Default::default();
+        let mut ps: Lanes<f32> = Default::default();
+        let mut wfs: Lanes<f32> = Default::default();
+        let mut hfs: Lanes<f32> = Default::default();
+        let mut ws: Lanes<u32> = Default::default();
+        let mut bases: Lanes<u32> = Default::default();
+        // Footprint lanes, per neighbour N0..N3: token, probability ×
+        // weight, and whether it becomes a tap.
+        let mut token: [Lanes<u32>; 4] = Default::default();
+        let mut ww: [Lanes<f32>; 4] = Default::default();
+        let mut live: [Lanes<u32>; 4] = Default::default();
+        // The tap list: value token and weight.
+        let mut taps = [(0u32, 0f32); 4 * LANES];
+        let mut bad = false;
+        for (h, orow) in orow.chunks_exact_mut(dh).enumerate() {
+            let chan0 = h * dh;
+            for s0 in (h * lp..(h + 1) * lp).step_by(LANES) {
+                let m = LANES.min((h + 1) * lp - s0);
+                // Gather the kept slots, in order, into the lanes.
+                let mut kept = keep.map_or(u64::MAX >> (64 - m), |k| pack_keep(&k[s0..s0 + m]));
+                let mut cnt = 0;
+                while kept != 0 {
+                    let s = s0 + kept.trailing_zeros() as usize;
+                    kept &= kept - 1;
+                    let pt = locs[s];
+                    bad |= pt.level >= self.n_levels;
+                    let g = self.levels[pt.level as usize];
+                    let (b, j) = (cnt / LANE_BLOCK, cnt % LANE_BLOCK);
+                    xs[b][j] = pt.x;
+                    ys[b][j] = pt.y;
+                    ps[b][j] = probs[s];
+                    wfs[b][j] = g.wf;
+                    hfs[b][j] = g.hf;
+                    ws[b][j] = g.w;
+                    bases[b][j] = g.base;
+                    cnt += 1;
+                }
+                // Footprints, a whole block of lanes at a time (lanes past
+                // `cnt` hold stale values and are never read back): the
+                // weights in `Footprint::at`'s expressions, the bounds
+                // tests on the floored coordinates.
+                for b in 0..cnt.div_ceil(LANE_BLOCK) {
+                    for j in 0..LANE_BLOCK {
+                        let (x, y, p) = (xs[b][j], ys[b][j], ps[b][j]);
+                        let (fx, fy) = (floor(x), floor(y));
+                        let t1 = x - fx;
+                        let t0 = y - fy;
+                        let weights =
+                            [(1.0 - t1) * (1.0 - t0), t1 * (1.0 - t0), (1.0 - t1) * t0, t1 * t0];
+                        // The reference's saturating integer cast reads NaN
+                        // as 0; every other floor is an integer or ±∞,
+                        // compared exactly.
+                        let xn = if fx.is_nan() { 0.0 } else { fx };
+                        let yn = if fy.is_nan() { 0.0 } else { fy };
+                        let (wf, hf) = (wfs[b][j], hfs[b][j]);
+                        let x_in = [(xn >= 0.0) & (xn < wf), (xn >= -1.0) & (xn < wf - 1.0)];
+                        let y_in = [(yn >= 0.0) & (yn < hf), (yn >= -1.0) & (yn < hf - 1.0)];
+                        let inside = [
+                            x_in[0] & y_in[0],
+                            x_in[1] & y_in[0],
+                            x_in[0] & y_in[1],
+                            x_in[1] & y_in[1],
+                        ];
+                        // Integer coordinates, exact whenever a neighbour is
+                        // in bounds: clamped to [-1, extent], `c + 2²³ + 1`
+                        // is an integer in [2²³, 2²⁴) whose low mantissa
+                        // bits are `c + 1`.
+                        let to_int = |c: f32, extent: f32| {
+                            let c = if c < -1.0 { -1.0 } else { c };
+                            let c = if c > extent { extent } else { c };
+                            (c + 8_388_609.0).to_bits().wrapping_sub(0x4B00_0001)
+                        };
+                        let w = ws[b][j];
+                        let t = bases[b][j]
+                            .wrapping_add(to_int(yn, hf).wrapping_mul(w))
+                            .wrapping_add(to_int(xn, wf));
+                        let tokens =
+                            [t, t.wrapping_add(1), t.wrapping_add(w), t.wrapping_add(w + 1)];
+                        for k in 0..4 {
+                            token[k][b][j] = tokens[k];
+                            ww[k][b][j] = p * weights[k];
+                            live[k][b][j] = u32::from(inside[k] & (weights[k] != 0.0) & (p != 0.0));
+                        }
+                    }
+                }
+                // The tap list, in slot order and N0..N3 within a slot.
+                let mut nt = 0;
+                for b in 0..cnt.div_ceil(LANE_BLOCK) {
+                    for j in 0..LANE_BLOCK.min(cnt - b * LANE_BLOCK) {
+                        for k in 0..4 {
+                            taps[nt] = (token[k][b][j], ww[k][b][j]);
+                            nt += live[k][b][j] as usize;
+                        }
+                    }
+                }
+                accumulate(self.value, d, chan0, &taps[..nt], orow);
+            }
+        }
+        bad
+    }
+}
+
+/// Adds `w · value[token, chan0 + c]` over the taps, in tap order, to
+/// every channel `c` of `out`, holding 8-channel blocks in registers.
+#[inline(always)]
+fn accumulate(value: &[f32], d: usize, chan0: usize, taps: &[(u32, f32)], out: &mut [f32]) {
+    let tail0 = out.len() / CHANNEL_BLOCK * CHANNEL_BLOCK;
+    let mut blocks = out.chunks_exact_mut(CHANNEL_BLOCK);
+    for (b, ob) in blocks.by_ref().enumerate() {
+        let c = chan0 + b * CHANNEL_BLOCK;
+        let mut acc = [0f32; CHANNEL_BLOCK];
+        acc.copy_from_slice(ob);
+        for &(t, w) in taps {
+            let off = t as usize * d + c;
+            for (a, &v) in acc.iter_mut().zip(&value[off..off + CHANNEL_BLOCK]) {
+                *a += w * v;
+            }
+        }
+        ob.copy_from_slice(&acc);
+    }
+    for (c, o) in blocks.into_remainder().iter_mut().enumerate() {
+        let mut a = *o;
+        for &(t, w) in taps {
+            a += w * value[t as usize * d + chan0 + tail0 + c];
+        }
+        *o = a;
     }
 }
 
@@ -578,6 +842,61 @@ mod tests {
         let plain = layer.forward(wl.initial_fmap(), None).unwrap();
         let warped = layer.forward(wl.initial_fmap(), Some(wl.warp())).unwrap();
         assert_ne!(plain.locations, warped.locations);
+    }
+
+    /// The AVX2 and portable instantiations of the aggregation kernel give
+    /// the same bits, on real inputs and at edge and non-finite locations.
+    #[test]
+    fn avx2_and_portable_aggregation_agree_bit_for_bit() {
+        if !has_avx2() {
+            return;
+        }
+        // The last shape has a channel tail and two footprint passes per head.
+        let odd = MsdaConfig { d_model: 24, n_heads: 2, n_points: 17, ..MsdaConfig::tiny() };
+        for cfg in [MsdaConfig::tiny(), MsdaConfig::small(), odd] {
+            let wl = SyntheticWorkload::generate(Benchmark::Dino, &cfg, 3).unwrap();
+            let layer = wl.layer(0).unwrap();
+            let out = layer.forward(wl.initial_fmap(), Some(wl.warp())).unwrap();
+            let mut locations = out.locations.clone();
+            let edges = [-1.0, -0.5, -0.0, 3.5, 1e9, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+            for (s, pt) in locations.iter_mut().enumerate().step_by(7) {
+                pt.x = edges[s % edges.len()];
+                pt.y = edges[(s / 7) % edges.len()];
+            }
+            let mask: Vec<bool> = out.probs.as_slice().iter().map(|&p| p >= 0.02).collect();
+            for mask in [None, Some(&mask[..])] {
+                let run = |avx2| {
+                    layer.aggregate_on(avx2, &out.probs, &locations, &out.value, mask).unwrap()
+                };
+                let (portable, avx2) = (run(false), run(true));
+                assert!(portable
+                    .as_slice()
+                    .iter()
+                    .zip(avx2.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan()));
+            }
+        }
+    }
+
+    #[test]
+    fn value_and_level_mismatches_are_typed_errors() {
+        let (cfg, layer, x) = tiny_layer(8);
+        let exact = layer.forward(&x, None).unwrap();
+        let short = Tensor::zeros([cfg.n_in() - 1, cfg.d_model]);
+        assert!(matches!(
+            layer.sample_and_aggregate(&exact.probs, &exact.locations, &short, None),
+            Err(ModelError::ShapeMismatch(_))
+        ));
+        let mut locations = exact.locations.clone();
+        locations[5].level = cfg.n_levels() as u8;
+        assert!(matches!(
+            layer.sample_and_aggregate(&exact.probs, &locations, &exact.value, None),
+            Err(ModelError::ShapeMismatch(_))
+        ));
+        // A pruned slot is never read, whatever it holds.
+        let mut mask = vec![true; locations.len()];
+        mask[5] = false;
+        layer.sample_and_aggregate(&exact.probs, &locations, &exact.value, Some(&mask)).unwrap();
     }
 
     #[test]

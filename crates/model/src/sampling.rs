@@ -126,28 +126,37 @@ pub fn query_sample_points_into(
 /// mask pattern.
 #[inline]
 pub fn for_each_kept(keep: &[bool], mut f: impl FnMut(usize)) {
-    // Eight 0/1 bytes gather into one byte: the multiplier's shifted
-    // copies move byte `b` to bit `56 + b` with no carries.
-    let pack = |bytes: [u8; 8]| u64::from_le_bytes(bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
     for (c, chunk) in keep.chunks(64).enumerate() {
-        let octets = chunk.chunks_exact(8);
-        let tail = octets.remainder();
-        let mut bits = 0u64;
-        for (j, oct) in octets.enumerate() {
-            bits |= pack(std::array::from_fn(|b| u8::from(oct[b]))) << (8 * j);
-        }
-        if !tail.is_empty() {
-            let mut bytes = [0u8; 8];
-            for (byte, &k) in bytes.iter_mut().zip(tail) {
-                *byte = u8::from(k);
-            }
-            bits |= pack(bytes) << (chunk.len() - tail.len());
-        }
+        let mut bits = pack_keep(chunk);
         while bits != 0 {
             f(c * 64 + bits.trailing_zeros() as usize);
             bits &= bits - 1;
         }
     }
+}
+
+/// Packs up to 64 keep flags into a word, flag `i` at bit `i`, without
+/// branching.
+#[inline]
+pub(crate) fn pack_keep(chunk: &[bool]) -> u64 {
+    debug_assert!(chunk.len() <= 64);
+    // Eight 0/1 bytes gather into one byte: the multiplier's shifted
+    // copies move byte `b` to bit `56 + b` with no carries.
+    let pack = |bytes: [u8; 8]| u64::from_le_bytes(bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+    let octets = chunk.chunks_exact(8);
+    let tail = octets.remainder();
+    let mut bits = 0u64;
+    for (j, oct) in octets.enumerate() {
+        bits |= pack(std::array::from_fn(|b| u8::from(oct[b]))) << (8 * j);
+    }
+    if !tail.is_empty() {
+        let mut bytes = [0u8; 8];
+        for (byte, &k) in bytes.iter_mut().zip(tail) {
+            *byte = u8::from(k);
+        }
+        bits |= pack(bytes) << (chunk.len() - tail.len());
+    }
+    bits
 }
 
 #[cfg(test)]

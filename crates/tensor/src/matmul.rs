@@ -424,22 +424,6 @@ pub fn matmul_row_masked(a: &Tensor, b: &Tensor, row_mask: &[bool]) -> Result<Te
     Ok(out)
 }
 
-/// [`matmul_row_masked`] with caller-provided output and scratch — zero
-/// allocations in steady state.
-///
-/// # Errors
-///
-/// Same conditions as [`matmul_row_masked`].
-pub fn matmul_row_masked_into(
-    a: &Tensor,
-    b: &Tensor,
-    row_mask: &[bool],
-    out: &mut Tensor,
-    scratch: &mut Scratch,
-) -> Result<(), TensorError> {
-    matmul_row_masked_scratch(a, b, row_mask, out, scratch)
-}
-
 fn matmul_row_masked_scratch(
     a: &Tensor,
     b: &Tensor,
@@ -577,7 +561,7 @@ mod tests {
         let mut out = Tensor::full([8, 6], 7.0);
         let mut scratch = Scratch::new();
         let mask = vec![false; 8];
-        matmul_row_masked_into(&a, &b, &mask, &mut out, &mut scratch).unwrap();
+        matmul_row_masked_scratch(&a, &b, &mask, &mut out, &mut scratch).unwrap();
         assert_eq!(out.max_abs(), 0.0);
     }
 

@@ -16,7 +16,7 @@ use defa_model::encoder::run_encoder;
 use defa_model::reference::{generate_kept_locations, generate_locations};
 use defa_model::sampling::{point_slot, query_sample_points_into};
 use defa_model::workload::{Benchmark, SyntheticWorkload};
-use defa_model::{ModelError, MsdaConfig, SamplePoint};
+use defa_model::{ModelError, MsdaConfig, MsdaLayer, SamplePoint};
 use defa_parallel::with_num_threads;
 use defa_prune::fwp::SampleFrequency;
 use defa_prune::pap::{point_mask, PapConfig};
@@ -310,6 +310,171 @@ fn masked_aggregation_equals_zeroed_probabilities() {
             layer.sample_and_aggregate(&probs, &locs, &value, Some(&short)),
             Err(ModelError::ShapeMismatch(_))
         ));
+    }
+}
+
+/// The per-point aggregation loop `MsdaLayer::sample_and_aggregate` ran
+/// before its lane-parallel kernel, kept as the kernel's oracle: slots in
+/// increasing order, kept slots only, a zero probability skips the slot,
+/// and `Footprint::at(..).in_bounds(..)` neighbours with a zero weight are
+/// skipped.
+fn aggregate_per_point(
+    cfg: &MsdaConfig,
+    probs: &Tensor,
+    locations: &[SamplePoint],
+    value: &Tensor,
+    point_mask: Option<&[bool]>,
+) -> Vec<f32> {
+    let (d, dh, lp, ppq) =
+        (cfg.d_model, cfg.head_dim(), cfg.points_per_head(), cfg.points_per_query());
+    let (pdata, vdata) = (probs.as_slice(), value.as_slice());
+    let mut out = vec![0f32; probs.shape().dims()[0] * d];
+    for (i, orow_all) in out.chunks_mut(d).enumerate() {
+        for slot in 0..ppq {
+            if point_mask.is_some_and(|m| !m[i * ppq + slot]) {
+                continue;
+            }
+            let w = pdata[i * ppq + slot];
+            if w == 0.0 {
+                continue;
+            }
+            let chan0 = slot / lp * dh;
+            let orow = &mut orow_all[chan0..chan0 + dh];
+            let pt = locations[i * ppq + slot];
+            let shape = cfg.levels[pt.level as usize];
+            let base = cfg.level_offset(pt.level as usize).unwrap();
+            for nb in Footprint::at(pt.x, pt.y).in_bounds(shape) {
+                if nb.weight == 0.0 {
+                    continue;
+                }
+                let token = base + nb.y as usize * shape.w + nb.x as usize;
+                let px = &vdata[token * d + chan0..token * d + chan0 + dh];
+                let ww = w * nb.weight;
+                for (o, &v) in orow.iter_mut().zip(px) {
+                    *o += ww * v;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Bit equality, except that any NaN equals any NaN: Rust leaves the
+/// payload of a NaN result unspecified, so it may differ between two
+/// compilations of the same expression.
+fn same_bits(got: &[f32], want: &[f32]) -> bool {
+    got.len() == want.len()
+        && got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan())
+}
+
+/// The lane-parallel aggregation kernel equals the per-point loop bit for
+/// bit: on real layers of every benchmark at two scales, and at a shape
+/// with a head dimension that is not a multiple of 8 (a scalar channel
+/// tail) and more points per head than one footprint pass holds, under no mask,
+/// all-keep, all-drop, PAP and random masks, at 1 and 4 threads, for a
+/// decoder-shaped query count, and at locations on and beyond every edge
+/// of a level (including ±2²³, ±2³¹, ±∞ and NaN) with some probabilities
+/// exactly zero, over finite and partly infinite values.
+#[test]
+fn lane_parallel_aggregation_equals_per_point_loop() {
+    let check = |layer: &MsdaLayer,
+                 probs: &Tensor,
+                 locs: &[SamplePoint],
+                 value: &Tensor,
+                 mask: Option<&[bool]>,
+                 what: &str| {
+        let want = aggregate_per_point(layer.config(), probs, locs, value, mask);
+        for threads in [1, 4] {
+            let got = with_num_threads(threads, || {
+                layer.sample_and_aggregate(probs, locs, value, mask).unwrap()
+            });
+            assert!(same_bits(got.as_slice(), &want), "{what}, {threads} thread(s)");
+        }
+    };
+    let odd = MsdaConfig { d_model: 24, n_heads: 2, n_points: 17, ..MsdaConfig::tiny() };
+    for cfg in [MsdaConfig::tiny(), MsdaConfig::small(), odd] {
+        for bench in Benchmark::all() {
+            let wl = SyntheticWorkload::generate(bench, &cfg, 17).unwrap();
+            let layer = wl.layer(0).unwrap();
+            let x = wl.initial_fmap();
+            let (_, probs) = layer.attention_probs(x).unwrap();
+            let locs = generate_locations(&cfg, layer.references(), &offsets(&wl), Some(wl.warp()))
+                .unwrap();
+            let value = matmul(x.tensor(), &layer.weights().w_value).unwrap();
+            let len = locs.len();
+            let pap = point_mask(&probs, PapConfig::paper_default()).unwrap();
+            let masks = [
+                ("no mask", None),
+                ("all-keep", Some(vec![true; len])),
+                ("all-drop", Some(vec![false; len])),
+                ("PAP", Some(pap.as_bools().to_vec())),
+                ("random 19%", Some(random_mask(len, 19, 5))),
+            ];
+            for (name, mask) in &masks {
+                let what = format!("{bench} {cfg:?}, {name}");
+                check(layer, &probs, &locs, &value, mask.as_deref(), &what);
+            }
+
+            // Decoder-shaped: fewer query rows than tokens.
+            let ppq = cfg.points_per_query();
+            let nq = 7;
+            let dec_probs =
+                Tensor::from_vec(probs.as_slice()[..nq * ppq].to_vec(), [nq, ppq]).unwrap();
+            check(layer, &dec_probs, &locs[..nq * ppq], &value, None, "decoder-shaped");
+
+            // Edge and non-finite locations, with some probabilities zero.
+            let mut edge_probs = probs.clone();
+            let mut edge_locs = locs.clone();
+            let edges = |e: f32| {
+                [
+                    -1.0,
+                    -0.5,
+                    -0.0,
+                    0.0,
+                    e - 1.0,
+                    e - 0.5,
+                    e,
+                    8_388_608.0,
+                    -8_388_608.0,
+                    2_147_483_648.0,
+                    -2_147_483_648.0,
+                    f32::INFINITY,
+                    f32::NEG_INFINITY,
+                    f32::NAN,
+                    0.25,
+                ]
+            };
+            let mut h = 23u64;
+            for (s, (pt, p)) in
+                edge_locs.iter_mut().zip(edge_probs.as_mut_slice()).enumerate().step_by(3)
+            {
+                h = splitmix64(h);
+                let shape = cfg.levels[pt.level as usize];
+                let (xs, ys) = (edges(shape.w as f32), edges(shape.h as f32));
+                pt.x = xs[h as usize % xs.len()];
+                pt.y = ys[(h >> 32) as usize % ys.len()];
+                if s % 5 == 0 {
+                    *p = 0.0;
+                }
+            }
+            for (name, mask) in &masks {
+                let what = format!("{bench} {cfg:?}, edges, {name}");
+                check(layer, &edge_probs, &edge_locs, &value, mask.as_deref(), &what);
+            }
+            // An infinite value makes a skipped tap visible: a zero weight
+            // or probability times ±∞ is NaN. Salt each head's first
+            // channel of every third token.
+            let mut salted = value.clone();
+            for (t, row) in salted.as_mut_slice().chunks_mut(cfg.d_model).enumerate().step_by(3) {
+                for c in (0..cfg.d_model).step_by(cfg.head_dim()) {
+                    row[c] = if t % 2 == 0 { f32::INFINITY } else { f32::NEG_INFINITY };
+                }
+            }
+            for (name, mask) in &masks {
+                let what = format!("{bench} {cfg:?}, edges, ±inf values, {name}");
+                check(layer, &edge_probs, &edge_locs, &salted, mask.as_deref(), &what);
+            }
+        }
     }
 }
 
