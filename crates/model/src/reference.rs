@@ -381,13 +381,12 @@ impl MsdaLayer {
     ///    stored once; a head dimension that is not a multiple of 8 ends
     ///    with a scalar tail.
     ///
-    /// The kernel is instantiated twice, portably and with AVX2 enabled,
-    /// and the AVX2 copy is chosen at runtime when CPUID reports it. The
-    /// bits do not depend on that choice or on the thread count: every
-    /// output channel adds the same products `probability × weight ×
-    /// value` in the same slot order as the sequential per-point loop,
-    /// with separate multiplies and adds (no fused multiply–add), and
-    /// queries — computed in parallel — write disjoint output rows.
+    /// The bits do not depend on the instruction set the kernel is compiled
+    /// for or on the thread count: every output channel adds the same
+    /// products `probability × weight × value` in the same slot order as
+    /// the sequential per-point loop, with separate multiplies and adds
+    /// (no fused multiply–add), and queries — computed in parallel — write
+    /// disjoint output rows.
     ///
     /// # Errors
     ///
@@ -397,20 +396,6 @@ impl MsdaLayer {
     /// the mask keeps names a level the configuration does not have.
     pub fn sample_and_aggregate(
         &self,
-        probs: &Tensor,
-        locations: &[SamplePoint],
-        value: &Tensor,
-        point_mask: Option<&[bool]>,
-    ) -> Result<Tensor, ModelError> {
-        self.aggregate_on(has_avx2(), probs, locations, value, point_mask)
-    }
-
-    /// [`Self::sample_and_aggregate`] on the kernel's AVX2 instantiation
-    /// when `avx2` is set (the caller has checked CPUID), else on the
-    /// portable one.
-    fn aggregate_on(
-        &self,
-        avx2: bool,
         probs: &Tensor,
         locations: &[SamplePoint],
         value: &Tensor,
@@ -482,8 +467,7 @@ impl MsdaLayer {
         defa_parallel::par_chunks_mut_if(parallel, output.as_mut_slice(), d, |i, orow| {
             let rows = i * ppq..(i + 1) * ppq;
             let keep = point_mask.map(|pm| &pm[rows.clone()]);
-            let bad =
-                kernel.aggregate_query(avx2, &pdata[rows.clone()], &locations[rows], keep, orow);
+            let bad = kernel.aggregate_query(&pdata[rows.clone()], &locations[rows], keep, orow);
             if bad {
                 // Read only after the workers join, so `Relaxed` suffices.
                 bad_level.store(true, Ordering::Relaxed);
@@ -503,8 +487,8 @@ impl MsdaLayer {
 /// passes, each continuing the sums of the one before, in slot order.
 const LANES: usize = 32;
 
-/// Lanes per footprint block: one AVX2 register of `f32`. The footprint
-/// loop runs whole blocks, so it vectorizes without a scalar epilogue.
+/// Lanes per footprint block. The footprint loop runs whole blocks, so
+/// it vectorizes without a scalar epilogue.
 const LANE_BLOCK: usize = 8;
 
 /// Footprint blocks per pass.
@@ -535,62 +519,10 @@ struct AggKernel<'a> {
     lp: usize,
 }
 
-/// Whether the host runs the AVX2 instantiation of the aggregation kernel.
-fn has_avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 impl AggKernel<'_> {
-    /// Aggregates one query row into `orow`, on the AVX2 instantiation
-    /// when `avx2` is set. Returns whether a kept slot named a level the
-    /// configuration does not have.
+    /// Aggregates one query row into `orow`. Returns whether a kept slot
+    /// named a level the configuration does not have.
     fn aggregate_query(
-        &self,
-        avx2: bool,
-        probs: &[f32],
-        locs: &[SamplePoint],
-        keep: Option<&[bool]>,
-        orow: &mut [f32],
-    ) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        if avx2 {
-            // SAFETY: `avx2` is only set where `has_avx2` found AVX2
-            // support in CPUID at runtime.
-            return unsafe { self.query_avx2(probs, locs, keep, orow) };
-        }
-        // Other targets have only the portable instantiation.
-        let _ = avx2;
-        self.query_body(probs, locs, keep, orow)
-    }
-
-    /// AVX2 instantiation of [`Self::query_body`].
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 (checked at runtime by [`has_avx2`]).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn query_avx2(
-        &self,
-        probs: &[f32],
-        locs: &[SamplePoint],
-        keep: Option<&[bool]>,
-        orow: &mut [f32],
-    ) -> bool {
-        self.query_body(probs, locs, keep, orow)
-    }
-
-    /// The kernel body for one query row; inlined into each instantiation
-    /// so it is compiled for that instantiation's instruction set.
-    #[inline(always)]
-    fn query_body(
         &self,
         probs: &[f32],
         locs: &[SamplePoint],
@@ -705,7 +637,6 @@ impl AggKernel<'_> {
 
 /// Adds `w · value[token, chan0 + c]` over the taps, in tap order, to
 /// every channel `c` of `out`, holding 8-channel blocks in registers.
-#[inline(always)]
 fn accumulate(value: &[f32], d: usize, chan0: usize, taps: &[(u32, f32)], out: &mut [f32]) {
     let tail0 = out.len() / CHANNEL_BLOCK * CHANNEL_BLOCK;
     let mut blocks = out.chunks_exact_mut(CHANNEL_BLOCK);
@@ -842,40 +773,6 @@ mod tests {
         let plain = layer.forward(wl.initial_fmap(), None).unwrap();
         let warped = layer.forward(wl.initial_fmap(), Some(wl.warp())).unwrap();
         assert_ne!(plain.locations, warped.locations);
-    }
-
-    /// The AVX2 and portable instantiations of the aggregation kernel give
-    /// the same bits, on real inputs and at edge and non-finite locations.
-    #[test]
-    fn avx2_and_portable_aggregation_agree_bit_for_bit() {
-        if !has_avx2() {
-            return;
-        }
-        // The last shape has a channel tail and two footprint passes per head.
-        let odd = MsdaConfig { d_model: 24, n_heads: 2, n_points: 17, ..MsdaConfig::tiny() };
-        for cfg in [MsdaConfig::tiny(), MsdaConfig::small(), odd] {
-            let wl = SyntheticWorkload::generate(Benchmark::Dino, &cfg, 3).unwrap();
-            let layer = wl.layer(0).unwrap();
-            let out = layer.forward(wl.initial_fmap(), Some(wl.warp())).unwrap();
-            let mut locations = out.locations.clone();
-            let edges = [-1.0, -0.5, -0.0, 3.5, 1e9, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
-            for (s, pt) in locations.iter_mut().enumerate().step_by(7) {
-                pt.x = edges[s % edges.len()];
-                pt.y = edges[(s / 7) % edges.len()];
-            }
-            let mask: Vec<bool> = out.probs.as_slice().iter().map(|&p| p >= 0.02).collect();
-            for mask in [None, Some(&mask[..])] {
-                let run = |avx2| {
-                    layer.aggregate_on(avx2, &out.probs, &locations, &out.value, mask).unwrap()
-                };
-                let (portable, avx2) = (run(false), run(true));
-                assert!(portable
-                    .as_slice()
-                    .iter()
-                    .zip(avx2.as_slice())
-                    .all(|(a, b)| a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan()));
-            }
-        }
     }
 
     #[test]
