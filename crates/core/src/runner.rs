@@ -414,4 +414,53 @@ mod tests {
         let enc_report = accel.run_workload(&enc, &PruneSettings::paper_defaults()).unwrap();
         assert!(report.msgs.points < enc_report.msgs.points);
     }
+
+    /// The decoder's hardware replay, pinned: moving the cross-attention
+    /// onto shared pipeline stages must leave its report unchanged.
+    #[test]
+    fn decoder_report_is_pinned() {
+        use defa_model::decoder::{DecoderConfig, DecoderWorkload};
+        use defa_model::encoder::run_encoder;
+        let cfg = MsdaConfig::small();
+        let bench = Benchmark::DeformableDetr;
+        let enc = SyntheticWorkload::generate(bench, &cfg, 42).unwrap();
+        let memory =
+            defa_model::FmapPyramid::from_tensor(&cfg, run_encoder(&enc).unwrap().final_features)
+                .unwrap();
+        let shape = DecoderConfig { n_queries: 50, n_layers: 2 };
+        let dec = DecoderWorkload::generate(bench, &cfg, shape, 42).unwrap();
+        let accel = DefaAccelerator { measure_fidelity: false, ..DefaAccelerator::paper_default() };
+        let r =
+            accel.run_decoder_workload(&dec, &memory, &PruneSettings::paper_defaults()).unwrap();
+        let counters = EventCounters {
+            mm_macs: 7_292_672,
+            ba_channel_ops: 19_568,
+            softmax_elems: 12_800,
+            sram_read_bits: 4_731_776,
+            sram_write_bits: 2_692_360,
+            dram_read_bits: 4_234_224,
+            dram_write_bits: 1_231_872,
+            mm_cycles: 28_488,
+            msgs_cycles: 1_813,
+            softmax_cycles: 800,
+            dram_stall_cycles: 0,
+            bank_conflicts: 0,
+            conflict_stall_cycles: 0,
+        };
+        assert_eq!(r.counters, counters);
+        let msgs = MsgsStats {
+            groups: 1_813,
+            points: 2_446,
+            cycles: 1_813,
+            conflicts: 0,
+            fmap_fetch_bits: 1_155_072,
+            spill_bits: 0,
+        };
+        assert_eq!(r.msgs, msgs);
+        let red = r.reduction;
+        assert_eq!(
+            (red.points_kept, red.pixels_kept, red.flops_pruned),
+            (2_446, 1_504, 64_352_846)
+        );
+    }
 }

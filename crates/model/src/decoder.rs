@@ -9,12 +9,12 @@
 //! memory pixels across decoder blocks).
 
 use crate::reference::{MsdaLayer, MsdaWeights};
-use crate::sampling::{query_sample_points, RefPoint};
+use crate::sampling::{query_sample_points_into, RefPoint};
 use crate::workload::Benchmark;
-use crate::{FmapPyramid, ModelError, MsdaConfig};
+use crate::{FmapPyramid, ModelError, MsdaConfig, SamplePoint};
 use defa_tensor::matmul::{matmul, matmul_row_masked};
 use defa_tensor::rng::TensorRng;
-use defa_tensor::softmax::softmax_inplace;
+use defa_tensor::softmax::softmax_heads;
 use defa_tensor::Tensor;
 
 /// Decoder stack shape.
@@ -140,21 +140,17 @@ impl CrossMsdaLayer {
         }
 
         let w = self.inner.weights();
-        let logits = matmul(queries, &w.w_attn)?;
-        let mut probs = logits.clone();
-        let lp = cfg.points_per_head();
-        for r in 0..nq {
-            let row = probs.row_mut(r)?;
-            for h in 0..cfg.n_heads {
-                softmax_inplace(&mut row[h * lp..(h + 1) * lp]);
-            }
-        }
+        let mut probs = matmul(queries, &w.w_attn)?;
+        softmax_heads(&mut probs, cfg.points_per_head())?;
 
         let offsets = matmul(queries, &w.w_offset)?;
-        let mut locations = Vec::with_capacity(nq * ppq);
-        for i in 0..nq {
-            let pts = query_sample_points(cfg, self.references[i], offsets.row(i)?);
-            locations.extend_from_slice(&pts);
+        let mut locations = vec![SamplePoint::new(0, 0.0, 0.0); nq * ppq];
+        for ((pts, &reference), offs) in locations
+            .chunks_exact_mut(ppq)
+            .zip(&self.references)
+            .zip(offsets.as_slice().chunks_exact(2 * ppq))
+        {
+            query_sample_points_into(cfg, reference, offs, pts);
         }
 
         let value = match memory_mask {
@@ -173,7 +169,7 @@ pub struct CrossLayerOutput {
     /// Per-head attention probabilities, `[N_q, N_h·N_l·N_p]`.
     pub probs: Tensor,
     /// Sampling locations, `N_q · points_per_query` entries.
-    pub locations: Vec<crate::SamplePoint>,
+    pub locations: Vec<SamplePoint>,
     /// Attended output, `[N_q, D]`.
     pub output: Tensor,
 }

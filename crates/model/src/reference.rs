@@ -8,14 +8,13 @@ use crate::sampling::{
 use crate::workload::SaliencyWarp;
 use crate::{FmapPyramid, ModelError, MsdaConfig};
 use defa_tensor::matmul::matmul;
-use defa_tensor::softmax::softmax_inplace;
+use defa_tensor::softmax::{softmax_heads, softmax_heads_thresholded, Thresholded};
 use defa_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Below this many per-query sampling points / probability elements the
-/// per-query loops run sequentially: the scoped-thread helpers have no
-/// pool, so a spawn only pays off with real work behind it. Results are
-/// identical either way.
+/// Below this many sampling points the per-query loops run sequentially:
+/// the scoped-thread helpers have no pool, so a spawn only pays off with
+/// real work behind it. Results are identical either way.
 const PAR_MIN_ELEMS: usize = 1 << 12;
 
 /// Builds the full sampling-location table for `offsets` (`[n, 2·ppq]`),
@@ -225,9 +224,7 @@ impl MsdaWeights {
 /// consumes `value` and `locations`, and the tests compare `output`.
 #[derive(Debug, Clone)]
 pub struct LayerOutput {
-    /// Raw attention logits, `[N_in, N_h·N_l·N_p]`.
-    pub logits: Tensor,
-    /// Per-head softmax probabilities, same shape as `logits`.
+    /// Per-head softmax probabilities, `[N_in, N_h·N_l·N_p]`.
     pub probs: Tensor,
     /// Sampling offsets, `[N_in, 2·N_h·N_l·N_p]`. Dense in every run,
     /// pruned or not.
@@ -295,55 +292,70 @@ impl MsdaLayer {
         x: &FmapPyramid,
         warp: Option<&SaliencyWarp>,
     ) -> Result<LayerOutput, ModelError> {
-        let (logits, probs) = self.attention_probs(x)?;
+        let (_, probs) = self.attention_probs(x)?;
         let q = x.tensor();
         let offsets = matmul(q, &self.weights.w_offset)?;
         let locations = generate_locations(&self.cfg, &self.references, &offsets, warp)?;
         let value = matmul(q, &self.weights.w_value)?;
         let output = self.sample_and_aggregate(&probs, &locations, &value, None)?;
-        Ok(LayerOutput { logits, probs, offsets, locations, value, output })
+        Ok(LayerOutput { probs, offsets, locations, value, output })
     }
 
-    /// Computes only the attention logits and per-head probabilities.
+    /// Computes only the per-head attention probabilities.
     ///
     /// In the DEFA dataflow (§4.1) this is the *first* stage of the block:
     /// the probabilities feed the point-mask generator (PAP) before the
     /// offset projection and MSGS run, so callers that prune want the
-    /// probabilities without the rest of the layer.
+    /// probabilities without the rest of the layer. The logits `X·Wᴬ` are
+    /// normalized in place by [`softmax_heads`].
+    ///
+    /// The first element of the pair is empty: it held the raw logits,
+    /// which nothing read. The pair stays until the staged stage-by-stage
+    /// copy of the pipeline that destructures it is retired (ROADMAP item
+    /// 4).
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::ShapeMismatch`] if the pyramid disagrees with
     /// the configuration.
-    pub fn attention_probs(&self, x: &FmapPyramid) -> Result<(Tensor, Tensor), ModelError> {
+    pub fn attention_probs(&self, x: &FmapPyramid) -> Result<((), Tensor), ModelError> {
+        let mut probs = self.attention_logits(x)?;
+        softmax_heads(&mut probs, self.cfg.points_per_head())?;
+        Ok(((), probs))
+    }
+
+    /// [`attention_probs`](Self::attention_probs) and the PAP compare in
+    /// one pass per query row ([`softmax_heads_thresholded`]): the same
+    /// probabilities, `keep = p >= threshold` per sampling point, and the
+    /// kept and total probability mass.
+    ///
+    /// # Errors
+    ///
+    /// As [`attention_probs`](Self::attention_probs).
+    pub fn attention_probs_thresholded(
+        &self,
+        x: &FmapPyramid,
+        threshold: f32,
+    ) -> Result<(Tensor, Thresholded), ModelError> {
+        let mut probs = self.attention_logits(x)?;
+        let pap = softmax_heads_thresholded(&mut probs, self.cfg.points_per_head(), threshold)?;
+        Ok((probs, pap))
+    }
+
+    /// The attention logits `X·Wᴬ`, after checking `x` against the
+    /// configuration.
+    fn attention_logits(&self, x: &FmapPyramid) -> Result<Tensor, ModelError> {
         let cfg = &self.cfg;
-        let n = cfg.n_in();
-        if x.n_in() != n || x.d() != cfg.d_model {
+        if x.n_in() != cfg.n_in() || x.d() != cfg.d_model {
             return Err(ModelError::ShapeMismatch(format!(
                 "pyramid [{} x {}] does not match config [{} x {}]",
                 x.n_in(),
                 x.d(),
-                n,
+                cfg.n_in(),
                 cfg.d_model
             )));
         }
-        let logits = matmul(x.tensor(), &self.weights.w_attn)?;
-        let mut probs = logits.clone();
-        let lp = cfg.points_per_head();
-        let n_heads = cfg.n_heads;
-        let ppq = cfg.points_per_query();
-        // Rows are independent distributions: normalize them in parallel.
-        defa_parallel::par_chunks_mut_if(
-            n * ppq >= PAR_MIN_ELEMS,
-            probs.as_mut_slice(),
-            ppq,
-            |_, row| {
-                for h in 0..n_heads {
-                    softmax_inplace(&mut row[h * lp..(h + 1) * lp]);
-                }
-            },
-        );
-        Ok((logits, probs))
+        Ok(matmul(x.tensor(), &self.weights.w_attn)?)
     }
 
     /// MSGS + aggregation: bilinear-samples `value` at every surviving

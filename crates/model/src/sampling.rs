@@ -75,28 +75,16 @@ pub fn point_slot(cfg: &MsdaConfig, head: usize, level: usize, point: usize) -> 
     (head * cfg.n_levels() + level) * cfg.n_points + point
 }
 
-/// Builds the sampling locations for one query from its offset row.
+/// Builds the sampling locations for one query from its offset row,
+/// writing its `points_per_query` locations into `out` in [`point_slot`]
+/// order.
 ///
 /// `offsets` holds `2·N_h·N_l·N_p` values ordered as
 /// `[slot][dx, dy]` with [`point_slot`] slot ordering; offsets are expressed
 /// in pixels of the target level, as in the official implementation after
-/// multiplying by the offset normalizer.
-pub fn query_sample_points(
-    cfg: &MsdaConfig,
-    reference: RefPoint,
-    offsets: &[f32],
-) -> Vec<SamplePoint> {
-    let mut out = vec![SamplePoint::new(0, 0.0, 0.0); cfg.points_per_query()];
-    query_sample_points_into(cfg, reference, offsets, &mut out);
-    out
-}
-
-/// Allocation-free variant of [`query_sample_points`]: writes the query's
-/// `points_per_query` locations into `out` in [`point_slot`] order.
-///
-/// The pruned-encoder hot loop fills one big location table per block with
-/// this, one disjoint `out` window per query, which is what makes the
-/// per-query parallel generation allocation-free and deterministic.
+/// multiplying by the offset normalizer. Callers fill one location table
+/// per block, one disjoint `out` window per query, so the per-query
+/// generation is allocation-free.
 pub fn query_sample_points_into(
     cfg: &MsdaConfig,
     reference: RefPoint,
@@ -162,6 +150,12 @@ pub(crate) fn pack_keep(chunk: &[bool]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn query_sample_points(cfg: &MsdaConfig, r: RefPoint, offsets: &[f32]) -> Vec<SamplePoint> {
+        let mut out = vec![SamplePoint::new(0, 0.0, 0.0); cfg.points_per_query()];
+        query_sample_points_into(cfg, r, offsets, &mut out);
+        out
+    }
 
     #[test]
     fn for_each_kept_visits_set_entries_in_order() {

@@ -8,6 +8,7 @@
 //! aggregation in the *current* block.
 
 use crate::{BitMask, PruneError};
+use defa_model::{FmapPyramid, MsdaLayer};
 use defa_tensor::Tensor;
 
 /// PAP hyperparameters.
@@ -44,6 +45,29 @@ impl Default for PapConfig {
     fn default() -> Self {
         Self::paper_default()
     }
+}
+
+/// Stage 1 of a pruned block in one pass per query row: `layer`'s
+/// attention probabilities over `x`, the PAP point mask and the retained
+/// probability mass — DEFA's softmax unit feeding the mask generator.
+///
+/// The probabilities and the mask are bit for bit `attention_probs`
+/// followed by [`point_mask`]. The mass is [`retained_mass`]'s ratio with
+/// the sums taken per head, per row and then over rows in order, so it can
+/// differ from that element-order sum in its last digits; it is the same
+/// for any thread count.
+///
+/// # Errors
+///
+/// Propagates a pyramid that disagrees with the layer's configuration.
+pub fn probs_and_mask(
+    layer: &MsdaLayer,
+    x: &FmapPyramid,
+    cfg: PapConfig,
+) -> Result<(Tensor, BitMask, f64), PruneError> {
+    let (probs, pap) = layer.attention_probs_thresholded(x, cfg.threshold)?;
+    let mass = if pap.total_mass == 0.0 { 1.0 } else { pap.kept_mass / pap.total_mass };
+    Ok((probs, BitMask::from_bools(pap.keep), mass))
 }
 
 /// Builds the point mask from a `[N_in, N_h·N_l·N_p]` probability tensor.

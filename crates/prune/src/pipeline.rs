@@ -18,7 +18,7 @@
 //! hardware model.
 
 use crate::fwp::{FwpConfig, SampleFrequency};
-use crate::pap::{point_mask, retained_mass, PapConfig};
+use crate::pap::{probs_and_mask, PapConfig};
 use crate::range::RangeConfig;
 use crate::stats::ReductionStats;
 use crate::{BitMask, PruneError};
@@ -172,15 +172,10 @@ where
             None => wl.layer(k)?,
         };
 
-        // Stage 1: probabilities, then the PAP point mask.
-        let (logits, probs) = layer.attention_probs(&x)?;
-        let (pmask, mass) = match settings.pap {
-            Some(pap) => {
-                let m = point_mask(&probs, pap)?;
-                let mass = retained_mass(&probs, &m)?;
-                (m, mass)
-            }
-            None => (BitMask::keep_all(n * ppq), 1.0),
+        // Stage 1: probabilities and the PAP point mask, in one pass.
+        let (probs, pmask, mass) = match settings.pap {
+            Some(pap) => probs_and_mask(layer, &x, pap)?,
+            None => (layer.attention_probs(&x)?.1, BitMask::keep_all(n * ppq), 1.0),
         };
 
         // Stage 2+3: masked offsets, locations (warp + range clamp), masked
@@ -235,7 +230,7 @@ where
             clamped_points: clamped,
             retained_mass: mass,
         };
-        let layer_output = LayerOutput { logits, probs, offsets, locations, value, output };
+        let layer_output = LayerOutput { probs, offsets, locations, value, output };
         observe(k, &layer_output, &info);
         blocks.push(info);
 

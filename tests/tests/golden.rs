@@ -4,7 +4,8 @@
 //! windows, memoized INT-N weights and the kept-point iteration of the
 //! masked stages) must reproduce their per-point references exactly, not
 //! approximately. So must the MSGS engine's kept-point cycle simulation
-//! against its per-group, every-slot reference.
+//! against its per-group, every-slot reference, and the one-pass stage 1
+//! against a softmax over the C library's `expf` followed by the PAP mask.
 
 use defa_arch::{
     BankMapping, BankedSram, Dram, EventCounters, PeArray, BA_CHANNELS_PER_BEAT, N_BANKS,
@@ -12,6 +13,7 @@ use defa_arch::{
 };
 use defa_core::{MsgsEngine, MsgsSettings, MsgsStats};
 use defa_model::bilinear::Footprint;
+use defa_model::decoder::{DecoderConfig, DecoderWorkload};
 use defa_model::encoder::run_encoder;
 use defa_model::reference::{generate_kept_locations, generate_locations};
 use defa_model::sampling::{point_slot, query_sample_points_into};
@@ -19,13 +21,14 @@ use defa_model::workload::{Benchmark, SyntheticWorkload};
 use defa_model::{ModelError, MsdaConfig, MsdaLayer, SamplePoint};
 use defa_parallel::with_num_threads;
 use defa_prune::fwp::SampleFrequency;
-use defa_prune::pap::{point_mask, PapConfig};
+use defa_prune::pap::{point_mask, probs_and_mask, retained_mass, PapConfig};
 use defa_prune::pipeline::{run_pruned_encoder, run_pruned_encoder_observed_from, PruneSettings};
 use defa_prune::range::clamp_locations;
 use defa_prune::{BoundedRange, PruneError, RangeConfig};
 use defa_tensor::matmul::{matmul, matmul_naive};
 use defa_tensor::qlinear::quantized_matmul;
 use defa_tensor::rng::{splitmix64, TensorRng};
+use defa_tensor::softmax::{softmax_heads, softmax_heads_thresholded};
 use defa_tensor::{QuantParams, Tensor};
 
 /// The pruned pipeline with everything off is the exact encoder: two
@@ -735,4 +738,109 @@ fn footprint_anchor_is_the_top_left_neighbor() {
         let n0 = Footprint::at(x, y).neighbors[0];
         assert_eq!(Footprint::anchor(x, y), (n0.x, n0.y), "anchor({x:e}, {y:e})");
     }
+}
+
+/// A per-head softmax over the C library's `expf`: how every softmax in
+/// the workspace computed its probabilities before it owned its `exp`.
+fn libm_softmax_heads(logits: &Tensor, head_len: usize) -> Tensor {
+    let mut probs = logits.clone();
+    for head in probs.as_mut_slice().chunks_exact_mut(head_len) {
+        let max = head.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+        let mut sum = 0.0f32;
+        for x in head.iter_mut() {
+            *x = (*x - max).exp();
+            sum += *x;
+        }
+        if sum > 0.0 {
+            head.iter_mut().for_each(|x| *x /= sum);
+        }
+    }
+    probs
+}
+
+/// The one-pass stage 1 (`softmax_heads_thresholded`, and through it
+/// `probs_and_mask`, `attention_probs` and the decoder's cross-attention)
+/// equals a libm softmax followed by `point_mask` bit for bit, with masses
+/// within 1e-12 of `retained_mass`: on the logits of every benchmark at two
+/// scales, on a decoder-shaped query tensor, and on rows with equal, ±∞,
+/// NaN and far-spread logits, at 1 and 4 threads.
+#[test]
+fn one_pass_stage1_equals_libm_softmax_and_point_mask() {
+    let pap = PapConfig::paper_default();
+    let check = |label: &str, logits: &Tensor, head_len: usize| {
+        let want = libm_softmax_heads(logits, head_len);
+        let mask = point_mask(&want, pap).unwrap();
+        let mass = retained_mass(&want, &mask).unwrap();
+        let mut probs = logits.clone();
+        softmax_heads(&mut probs, head_len).unwrap();
+        assert!(same_bits(probs.as_slice(), want.as_slice()), "{label}: softmax_heads");
+        let mut probs = logits.clone();
+        let got = softmax_heads_thresholded(&mut probs, head_len, pap.threshold).unwrap();
+        assert!(same_bits(probs.as_slice(), want.as_slice()), "{label}: thresholded probs");
+        assert_eq!(got.keep, mask.as_bools(), "{label}: keep bits");
+        let ratio = got.kept_mass / got.total_mass;
+        if mass.is_nan() {
+            assert!(ratio.is_nan(), "{label}: mass {ratio} against NaN");
+        } else {
+            assert!((ratio - mass).abs() <= 1e-12 * mass, "{label}: mass {ratio} against {mass}");
+        }
+    };
+    let mut cases: Vec<(String, Tensor, usize)> = Vec::new();
+    for bench in Benchmark::all() {
+        for cfg in [MsdaConfig::tiny(), MsdaConfig::small()] {
+            let wl = SyntheticWorkload::generate(bench, &cfg, 42).unwrap();
+            let x = wl.initial_fmap();
+            let lp = cfg.points_per_head();
+            for k in 0..cfg.n_layers {
+                let layer = wl.layer(k).unwrap();
+                let logits = matmul(x.tensor(), &layer.weights().w_attn).unwrap();
+                let want = libm_softmax_heads(&logits, lp);
+                let want_mask = point_mask(&want, pap).unwrap();
+                let (_, probs) = layer.attention_probs(x).unwrap();
+                assert_eq!(bits_of(&probs), bits_of(&want), "{bench} layer {k}: attention_probs");
+                let (probs, mask, mass) = probs_and_mask(layer, x, pap).unwrap();
+                assert_eq!(bits_of(&probs), bits_of(&want), "{bench} layer {k}: probs_and_mask");
+                assert_eq!(mask, want_mask, "{bench} layer {k}: probs_and_mask mask");
+                let want_mass = retained_mass(&want, &want_mask).unwrap();
+                assert!((mass - want_mass).abs() <= 1e-12 * want_mass, "{mass} vs {want_mass}");
+                cases.push((format!("{bench} {} layer {k}", cfg.n_in()), logits, lp));
+            }
+            // Object queries cross-attending into the encoder's input.
+            let dec =
+                DecoderWorkload::generate(bench, &cfg, DecoderConfig::for_benchmark(bench), 42)
+                    .unwrap();
+            let layer = &dec.layers()[0];
+            let logits = matmul(dec.initial_queries(), &layer.inner().weights().w_attn).unwrap();
+            let out = layer.forward(dec.initial_queries(), x, None, None).unwrap();
+            assert_eq!(bits_of(&out.probs), bits_of(&libm_softmax_heads(&logits, lp)), "{bench}");
+            cases.push((format!("{bench} {} decoder", cfg.n_in()), logits, lp));
+        }
+    }
+    // Injected rows on the last case's logits, one edge case per head.
+    let (_, logits, lp) = cases.last().cloned().unwrap();
+    let mut edges = logits;
+    let row = edges.row_mut(0).unwrap();
+    row[..lp].fill(2.5);
+    row[lp + 3] = f32::NEG_INFINITY;
+    row[2 * lp + 5] = f32::INFINITY;
+    row[3 * lp..4 * lp].fill(f32::NEG_INFINITY);
+    row[4 * lp + 1] = 150.0;
+    row[4 * lp + 2] = -300.0;
+    row[5 * lp + 7] = -1e30;
+    row[6 * lp] = 103.97208;
+    row[6 * lp + 1] = -0.0;
+    cases.push(("injected edges".into(), edges.clone(), lp));
+    edges.row_mut(1).unwrap()[7 * lp + 2] = f32::NAN;
+    cases.push(("injected NaN".into(), edges, lp));
+    for threads in [1, 4] {
+        with_num_threads(threads, || {
+            for (label, logits, lp) in &cases {
+                check(&format!("{label}, {threads} threads"), logits, *lp);
+            }
+        });
+    }
+}
+
+fn bits_of(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|x| x.to_bits()).collect()
 }
