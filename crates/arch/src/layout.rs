@@ -58,16 +58,21 @@ impl BankMapping {
 
     /// Banks touched by the 2×2 bilinear footprint anchored at `(y0, x0)`.
     ///
+    /// The far neighbours wrap at `i64::MAX`, as `Footprint::at`'s do for
+    /// a saturated anchor; banks depend on coordinates modulo 4 only, and
+    /// wrapping preserves them.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`BankMapping::bank_of`].
     #[inline]
     pub fn footprint_banks(&self, level: usize, y0: i64, x0: i64) -> Result<[usize; 4], ArchError> {
+        let (y1, x1) = (y0.wrapping_add(1), x0.wrapping_add(1));
         Ok([
             self.bank_of(level, y0, x0)?,
-            self.bank_of(level, y0, x0 + 1)?,
-            self.bank_of(level, y0 + 1, x0)?,
-            self.bank_of(level, y0 + 1, x0 + 1)?,
+            self.bank_of(level, y0, x1)?,
+            self.bank_of(level, y1, x0)?,
+            self.bank_of(level, y1, x1)?,
         ])
     }
 }

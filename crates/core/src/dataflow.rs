@@ -42,9 +42,12 @@ impl BlockPruning {
 ///
 /// `locations`/`keep` describe the block's sampling points after range
 /// clamping; `pruning` carries the keep fractions for the matrix stages.
-/// The dominant stage-4 sampling pipeline is simulated query-tile-parallel
-/// inside [`MsgsEngine::run_block`] with a deterministic reduction, so the
-/// returned stats and counters are identical for any thread count.
+/// Stage 4 is [`MsgsEngine::run_block`]: the kept-slot walk with the
+/// engine as its one visitor, parallel over query ranges with a
+/// deterministic reduction, so the returned stats and counters are
+/// identical for any thread count. The accelerator model's pruned runs
+/// price the block with the same rules, but take stage 4 from the
+/// pipeline's own walk instead of walking the locations again.
 ///
 /// # Errors
 ///
@@ -58,6 +61,21 @@ pub fn simulate_block(
     keep: &[bool],
     pruning: BlockPruning,
     counters: &mut EventCounters,
+) -> Result<(MsgsStats, StageCycles), CoreError> {
+    price_block(cfg, pe, pruning, counters, |c| {
+        engine.run_block(locations, keep, pruning.pixel_keep, c)
+    })
+}
+
+/// [`simulate_block`] with stage 4's MSGS simulation supplied by `msgs`,
+/// which adds its activity to the counters it is given and returns the
+/// block's stats.
+pub(crate) fn price_block(
+    cfg: &MsdaConfig,
+    pe: &PeArray,
+    pruning: BlockPruning,
+    counters: &mut EventCounters,
+    msgs: impl FnOnce(&mut EventCounters) -> Result<MsgsStats, CoreError>,
 ) -> Result<(MsgsStats, StageCycles), CoreError> {
     let mut stages = StageCycles::default();
     let n = cfg.n_in() as u64;
@@ -118,7 +136,7 @@ pub fn simulate_block(
     dram.write(kept_pixels * d * PRECISION_BITS);
 
     // ---- Stage 4: fused MSGS + aggregation + FWP ------------------------
-    let stats = engine.run_block(locations, keep, pruning.pixel_keep, counters)?;
+    let stats = msgs(counters)?;
     FmapMaskGenerator::new().run(4 * stats.points, n, counters);
 
     // ---- DRAM overlap ----------------------------------------------------

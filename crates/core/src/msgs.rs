@@ -17,25 +17,33 @@
 //! and fmap reuse (bounded-range row buffers instead of per-query window
 //! refetch).
 //!
-//! The simulation's host cost follows the kept points and the groups they
-//! fill, not the slots: each query tile's keep mask is walked as packed
-//! bits, every kept point adds its footprint to its group's per-bank
-//! request counts, and only non-empty groups are issued.
+//! The simulation rides on stage 4's kept-slot walk
+//! ([`defa_model::reference::walk_kept_points`]) as a visitor,
+//! [`BlockSampler`]: its cost follows the kept points, not the slots. A
+//! footprint's banks depend only on its level and its top-left anchor
+//! modulo 4, so they come from a per-engine table as a 16-bit set, and each
+//! group keeps the union of its points' sets. Per-bank loads are counted
+//! only for a group whose sets overlap — never under inter-level mapping;
+//! every conflict-free group costs one service cycle per beat, so those are
+//! settled in bulk.
 
 use crate::CoreError;
-use defa_arch::{BankMapping, BankedSram, Dram, EventCounters, PeArray, N_BANKS, PRECISION_BITS};
-use defa_model::bilinear::Footprint;
+use defa_arch::{
+    ArchError, BankMapping, BankedSram, Dram, EventCounters, PeArray, N_BANKS, PRECISION_BITS,
+};
+use defa_model::reference::{walk_kept_points, KeptLanes, LaneVisitor, Stage4Visitor};
 use defa_model::sampling::for_each_kept;
 use defa_model::{MsdaConfig, SamplePoint};
 use defa_prune::RangeConfig;
+use std::ops::Range;
 
-/// Queries per parallel simulation tile of [`MsgsEngine::run_block`].
-///
-/// Tiles are simulated concurrently with private SRAM/counter models and
-/// reduced in tile order; the value trades scheduling granularity against
-/// per-tile setup and does not affect results (which are bit-identical for
-/// any tile size or thread count).
-const QUERY_TILE: usize = 64;
+// A footprint's banks are a `u16` set.
+const _: () = assert!(N_BANKS <= 16);
+
+/// Rows of [`MsgsEngine`]'s bank-set table. A level's banks depend on the
+/// level only through inter-level mapping's group check, which every level
+/// from `N_BANKS / 4` on fails alike, so levels past the last row read it.
+const BANK_LEVELS: usize = N_BANKS / 4 + 1;
 
 /// Feature switches of the MSGS engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,6 +103,19 @@ pub struct MsgsEngine {
     cfg: MsdaConfig,
     ranges: RangeConfig,
     settings: MsgsSettings,
+    /// An idle SRAM model, copied by every query range's simulation.
+    sram: BankedSram,
+    /// Banks a footprint reads (bit `b` for bank `b`), by level (capped at
+    /// the last row) and anchor `(y0 & 3) · 4 + (x0 & 3)`; 0 where the
+    /// mapping has no bank group for the level.
+    bank_sets: [[u16; 16]; BANK_LEVELS],
+    /// Group of each slot offset within a `(query, head)` slice:
+    /// inter-level groups take point `p` of every level, intra-level groups
+    /// the `N_p` points of level `l`.
+    group_of: Vec<u32>,
+    n_groups: usize,
+    /// Beats per group: the head's channels over the channels per beat.
+    beats: u64,
 }
 
 impl MsgsEngine {
@@ -105,12 +126,53 @@ impl MsgsEngine {
     /// Returns [`CoreError::Model`] if the configuration is invalid.
     pub fn new(cfg: &MsdaConfig, settings: MsgsSettings) -> Result<Self, CoreError> {
         cfg.validate()?;
-        Ok(MsgsEngine { ranges: RangeConfig::paper_defaults(cfg), cfg: cfg.clone(), settings })
+        let mapping = settings.mapping;
+        let mut bank_sets = [[0u16; 16]; BANK_LEVELS];
+        for (level, row) in bank_sets.iter_mut().enumerate() {
+            for (anchor, set) in row.iter_mut().enumerate() {
+                let (y0, x0) = ((anchor / 4) as i64, (anchor % 4) as i64);
+                if let Ok(banks) = mapping.footprint_banks(level, y0, x0) {
+                    *set = banks.iter().fold(0, |set, &b| set | 1 << b);
+                }
+            }
+        }
+        let n_points = cfg.n_points;
+        let group_of = (0..cfg.points_per_head())
+            .map(|o| match mapping {
+                BankMapping::InterLevel => (o % n_points) as u32,
+                BankMapping::IntraLevel => (o / n_points) as u32,
+            })
+            .collect();
+        let n_groups = match mapping {
+            BankMapping::InterLevel => n_points,
+            BankMapping::IntraLevel => cfg.n_levels(),
+        };
+        Ok(MsgsEngine {
+            ranges: RangeConfig::paper_defaults(cfg),
+            cfg: cfg.clone(),
+            settings,
+            sram: BankedSram::new(N_BANKS, word_bits())?,
+            bank_sets,
+            group_of,
+            n_groups,
+            beats: (cfg.head_dim() as u64).div_ceil(defa_arch::BA_CHANNELS_PER_BEAT),
+        })
     }
 
     /// The engine's settings.
     pub fn settings(&self) -> MsgsSettings {
         self.settings
+    }
+
+    /// A stage-4 visitor that simulates the sampling pipeline of each
+    /// block it walks; [`BlockSampler::settle`] completes the block.
+    pub fn sampler(&self) -> BlockSampler<'_> {
+        BlockSampler {
+            engine: self,
+            stats: MsgsStats::default(),
+            counters: EventCounters::new(),
+            error: None,
+        }
     }
 
     /// Simulates one block's MSGS + aggregation.
@@ -119,10 +181,11 @@ impl MsgsEngine {
     /// layer order; `keep` the PAP survival of each. Counters receive the
     /// cycle and traffic activity; the returned stats summarize the run.
     ///
-    /// The sampling-point pipeline is simulated in parallel over
-    /// contiguous *query tiles*: each tile accumulates its own
-    /// [`MsgsStats`] and [`EventCounters`] against a private
-    /// [`BankedSram`] model, and the partial results are reduced in tile
+    /// This is stage 4's kept-slot walk with the engine's [`BlockSampler`]
+    /// as its one visitor, then [`BlockSampler::settle`]. The walk runs
+    /// over contiguous query ranges in parallel; each range accumulates its
+    /// own [`MsgsStats`] and [`EventCounters`] against a private
+    /// [`BankedSram`] model, and the partial results are reduced in range
     /// order. Every per-group quantity (service cycles, conflicts,
     /// traffic) depends only on that group's own sampling points, so the
     /// reduction is exact: stats and counters are **bit-identical** to the
@@ -131,8 +194,8 @@ impl MsgsEngine {
     /// # Errors
     ///
     /// Returns [`CoreError::Inconsistent`] on length mismatches and
-    /// [`CoreError::Arch`] if a bank index cannot be computed (more levels
-    /// than bank groups in inter-level mode).
+    /// [`CoreError::Arch`] if a kept point's level has no bank group (more
+    /// levels than bank groups in inter-level mode).
     pub fn run_block(
         &self,
         locations: &[SamplePoint],
@@ -140,8 +203,7 @@ impl MsgsEngine {
         pixel_keep_fraction: f64,
         counters: &mut EventCounters,
     ) -> Result<MsgsStats, CoreError> {
-        let cfg = &self.cfg;
-        let ppq = cfg.points_per_query();
+        let ppq = self.cfg.points_per_query();
         if locations.is_empty()
             || !locations.len().is_multiple_of(ppq)
             || keep.len() != locations.len()
@@ -152,133 +214,11 @@ impl MsgsEngine {
                 keep.len()
             )));
         }
+        let mut sampler = self.sampler();
+        walk_kept_points(&self.cfg, locations, Some(keep), &mut sampler)?;
         // Queries = N_in for encoder self-attention; the object-query
         // count for decoder cross-attention.
-        let n = locations.len() / ppq;
-
-        let word_bits = defa_arch::BA_CHANNELS_PER_BEAT * PRECISION_BITS;
-        let dh = cfg.head_dim();
-
-        // --- Sampling-point pipeline (query-tile parallel) ----------------
-        // Group of each slot within a (query, head) slice: inter-level
-        // groups take point `p` of every level, intra-level groups the
-        // `N_p` points of level `l`.
-        let n_points = cfg.n_points;
-        let group_of: Vec<usize> = (0..cfg.points_per_head())
-            .map(|o| match self.settings.mapping {
-                BankMapping::InterLevel => o % n_points,
-                BankMapping::IntraLevel => o / n_points,
-            })
-            .collect();
-        let n_tiles = n.div_ceil(QUERY_TILE);
-        let tiles = defa_parallel::par_map_collect(n_tiles, |t| {
-            let q0 = t * QUERY_TILE;
-            let q1 = ((t + 1) * QUERY_TILE).min(n);
-            self.run_query_tile(locations, keep, &group_of, q0, q1)
-        });
-        let mut stats = MsgsStats::default();
-        let mut sram = BankedSram::new(N_BANKS, word_bits)?;
-        let mut dram = Dram::hbm2();
-        for tile in tiles {
-            let (tile_stats, tile_counters) = tile?;
-            stats.cycles += tile_stats.cycles;
-            stats.groups += tile_stats.groups;
-            stats.points += tile_stats.points;
-            stats.conflicts += tile_stats.conflicts;
-            *counters += tile_counters;
-        }
-
-        // --- Fmap fetch traffic (DRAM -> SRAM row buffers) ---------------
-        let fetch_bits = self.fmap_fetch_bits(n, keep, pixel_keep_fraction);
-        dram.read(fetch_bits);
-        sram.write_stream(fetch_bits / word_bits);
-        stats.fmap_fetch_bits = fetch_bits;
-
-        // --- Operator fusion --------------------------------------------
-        if !self.settings.fused {
-            // Sampling values round-trip: SRAM write + DRAM write, then
-            // DRAM read + SRAM read before aggregation.
-            let bits = stats.points * dh as u64 * PRECISION_BITS;
-            sram.write_stream(bits / word_bits);
-            sram.read_stream(bits / word_bits);
-            dram.write(bits);
-            dram.read(bits);
-            stats.spill_bits = 2 * bits;
-        }
-
-        // --- Aggregated output ------------------------------------------
-        let out_bits = (n * cfg.d_model) as u64 * PRECISION_BITS;
-        sram.write_stream(out_bits / word_bits);
-        dram.write(out_bits);
-
-        sram.drain_into(counters);
-        dram.drain_into(counters);
-        Ok(stats)
-    }
-
-    /// Simulates the BA-pipeline groups of queries `q0..q1` against a
-    /// tile-private SRAM model, returning the tile's stats and counter
-    /// deltas (SRAM activity already drained into the counters).
-    ///
-    /// Kept points are visited in slot order; each adds its footprint's
-    /// banks to its group (`group_of`, indexed by the slot's offset in its
-    /// `(query, head)` slice). When the walk leaves a slice, that slice's
-    /// non-empty groups are issued in group order.
-    fn run_query_tile(
-        &self,
-        locations: &[SamplePoint],
-        keep: &[bool],
-        group_of: &[usize],
-        q0: usize,
-        q1: usize,
-    ) -> Result<(MsgsStats, EventCounters), CoreError> {
-        let cfg = &self.cfg;
-        let ppq = cfg.points_per_query();
-        let per_head = group_of.len();
-        let mapping = self.settings.mapping;
-        let n_groups = match mapping {
-            BankMapping::InterLevel => cfg.n_points,
-            BankMapping::IntraLevel => cfg.n_levels(),
-        };
-        let word_bits = defa_arch::BA_CHANNELS_PER_BEAT * PRECISION_BITS;
-        let mut tile = TileGroups {
-            pe: PeArray::new(),
-            sram: BankedSram::new(N_BANKS, word_bits)?,
-            counters: EventCounters::new(),
-            stats: MsgsStats::default(),
-            head_dim: cfg.head_dim(),
-            loads: vec![[0; N_BANKS]; n_groups],
-            members: vec![0; n_groups],
-            live: vec![0; n_groups.div_ceil(64)],
-        };
-        let lo = q0 * ppq;
-        let mut slice_end = lo + per_head;
-        let mut bad_bank = None;
-        for_each_kept(&keep[lo..q1 * ppq], |k| {
-            let slot = lo + k;
-            if slot >= slice_end {
-                tile.issue();
-                while slot >= slice_end {
-                    slice_end += per_head;
-                }
-            }
-            let pt = locations[slot];
-            let (x0, y0) = Footprint::anchor(pt.x, pt.y);
-            match mapping.footprint_banks(pt.level as usize, y0, x0) {
-                Ok(banks) => tile.add(group_of[slot + per_head - slice_end], banks),
-                Err(e) => {
-                    bad_bank.get_or_insert(e);
-                }
-            }
-        });
-        if let Some(e) = bad_bank {
-            return Err(e.into());
-        }
-        tile.issue();
-        let TileGroups { mut sram, mut counters, mut stats, .. } = tile;
-        stats.conflicts = sram.conflicts();
-        sram.drain_into(&mut counters);
-        Ok((stats, counters))
+        sampler.settle(locations.len() / ppq, keep, pixel_keep_fraction, counters)
     }
 
     /// DRAM bits fetched to feed MSGS with fmap pixels.
@@ -318,61 +258,275 @@ impl MsgsEngine {
     }
 }
 
-/// One query tile's simulation state: the SRAM and counter models plus
-/// the per-bank request counts of the current `(query, head)` slice's
-/// groups, reused from slice to slice.
-struct TileGroups {
-    pe: PeArray,
+/// Bits per SRAM word: one beat of channels.
+fn word_bits() -> u64 {
+    defa_arch::BA_CHANNELS_PER_BEAT * PRECISION_BITS
+}
+
+/// The MSGS engine as a stage-4 visitor: it simulates the BA pipeline of
+/// every block walked since the last [`settle`](Self::settle).
+///
+/// [`MsgsEngine::run_block`] walks a block with it alone; the accelerator
+/// model hands it to the pruned pipeline, whose stage-4 walk also
+/// aggregates and counts FWP frequencies from the same footprints.
+#[derive(Debug)]
+pub struct BlockSampler<'e> {
+    engine: &'e MsgsEngine,
+    stats: MsgsStats,
+    counters: EventCounters,
+    /// The first point, in slot order, whose level has no bank group.
+    error: Option<ArchError>,
+}
+
+impl BlockSampler<'_> {
+    /// Completes the block walked since the last call: adds its sampling
+    /// pipeline's counters and the block-level streams — fmap fetch, the
+    /// spill round trip when unfused, the aggregated output — to
+    /// `counters` and returns the block's stats.
+    ///
+    /// `n_queries` and `keep` are the walked block's query count and keep
+    /// bits (the fetch without fmap reuse follows the kept runs).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Arch`] if a kept point's level had no bank
+    /// group, and [`CoreError::Inconsistent`] if `keep` has fewer than
+    /// `n_queries` queries' bits.
+    pub fn settle(
+        &mut self,
+        n_queries: usize,
+        keep: &[bool],
+        pixel_keep_fraction: f64,
+        counters: &mut EventCounters,
+    ) -> Result<MsgsStats, CoreError> {
+        let mut stats = std::mem::take(&mut self.stats);
+        let sampled = std::mem::take(&mut self.counters);
+        if let Some(e) = self.error.take() {
+            return Err(e.into());
+        }
+        let engine = self.engine;
+        let cfg = &engine.cfg;
+        if keep.len() < n_queries * cfg.points_per_query() {
+            return Err(CoreError::Inconsistent(format!(
+                "{} keep bits for {n_queries} queries",
+                keep.len()
+            )));
+        }
+        *counters += sampled;
+        let word_bits = word_bits();
+        let mut sram = engine.sram.clone();
+        let mut dram = Dram::hbm2();
+
+        // --- Fmap fetch traffic (DRAM -> SRAM row buffers) ---------------
+        let fetch_bits = engine.fmap_fetch_bits(n_queries, keep, pixel_keep_fraction);
+        dram.read(fetch_bits);
+        sram.write_stream(fetch_bits / word_bits);
+        stats.fmap_fetch_bits = fetch_bits;
+
+        // --- Operator fusion --------------------------------------------
+        if !engine.settings.fused {
+            // Sampling values round-trip: SRAM write + DRAM write, then
+            // DRAM read + SRAM read before aggregation.
+            let bits = stats.points * cfg.head_dim() as u64 * PRECISION_BITS;
+            sram.write_stream(bits / word_bits);
+            sram.read_stream(bits / word_bits);
+            dram.write(bits);
+            dram.read(bits);
+            stats.spill_bits = 2 * bits;
+        }
+
+        // --- Aggregated output ------------------------------------------
+        let out_bits = (n_queries * cfg.d_model) as u64 * PRECISION_BITS;
+        sram.write_stream(out_bits / word_bits);
+        dram.write(out_bits);
+
+        sram.drain_into(counters);
+        dram.drain_into(counters);
+        Ok(stats)
+    }
+}
+
+impl<'e> Stage4Visitor for BlockSampler<'e> {
+    type Part = SamplerPart<'e>;
+
+    fn split(&mut self, ranges: &[Range<usize>]) -> Vec<SamplerPart<'e>> {
+        let engine = self.engine;
+        ranges
+            .iter()
+            .map(|_| SamplerPart {
+                engine,
+                sram: engine.sram.clone(),
+                counters: EventCounters::new(),
+                stats: MsgsStats::default(),
+                slice: usize::MAX,
+                slice_points: 0,
+                sets: vec![0; engine.n_groups],
+                loads: vec![[0; N_BANKS]; engine.n_groups],
+                overlapping: vec![false; engine.n_groups],
+                slice_overlaps: false,
+                free_groups: 0,
+                free_points: 0,
+                error: None,
+            })
+            .collect()
+    }
+
+    fn join(&mut self, parts: Vec<SamplerPart<'e>>) {
+        for part in parts {
+            let (error, stats, counters) = part.finish();
+            if self.error.is_none() {
+                self.error = error;
+            }
+            self.stats.groups += stats.groups;
+            self.stats.points += stats.points;
+            self.stats.cycles += stats.cycles;
+            self.stats.conflicts += stats.conflicts;
+            self.counters += counters;
+        }
+    }
+}
+
+/// One query range's BA-pipeline simulation: a private SRAM and counter
+/// model, plus the groups of the current `(query, head)` slice, issued
+/// when the walk moves past it.
+#[derive(Debug)]
+pub struct SamplerPart<'e> {
+    engine: &'e MsgsEngine,
     sram: BankedSram,
     counters: EventCounters,
     stats: MsgsStats,
-    head_dim: usize,
-    /// Per-bank request counts of each group.
+    /// The slice whose groups are being filled.
+    slice: usize,
+    /// Kept points in the slice.
+    slice_points: u64,
+    /// Union of the bank sets of each group's points; all banks once the
+    /// group overlaps, so its later points take the counting path too.
+    /// Each footprint reads 4 distinct banks, so a group that never
+    /// overlapped holds a quarter as many points as its set has banks.
+    sets: Vec<u16>,
+    /// Per-bank loads of each overlapping group; zero for the others.
     loads: Vec<[u32; N_BANKS]>,
-    /// Kept points in each group.
-    members: Vec<u32>,
-    /// Bit `g` set when group `g` has a member.
-    live: Vec<u64>,
+    /// Whether each group overlaps.
+    overlapping: Vec<bool>,
+    /// Whether a group of the slice overlaps.
+    slice_overlaps: bool,
+    /// Conflict-free groups and their points, settled in bulk.
+    free_groups: u64,
+    free_points: u64,
+    error: Option<ArchError>,
 }
 
-impl TileGroups {
-    /// Adds one kept point, whose footprint reads `banks`, to group `g`.
-    #[inline]
-    fn add(&mut self, g: usize, banks: [usize; 4]) {
-        let loads = &mut self.loads[g];
-        for b in banks {
-            loads[b] += 1;
-        }
-        self.members[g] += 1;
-        self.live[g / 64] |= 1 << (g % 64);
-    }
+impl LaneVisitor for SamplerPart<'_> {
+    const READS_SLOTS: bool = true;
 
-    /// Issues the slice's non-empty groups in group order and clears them.
-    fn issue(&mut self) {
-        let beats = (self.head_dim as u64).div_ceil(defa_arch::BA_CHANNELS_PER_BEAT);
-        for w in 0..self.live.len() {
-            let mut bits = std::mem::take(&mut self.live[w]);
-            while bits != 0 {
-                let g = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let points = std::mem::take(&mut self.members[g]);
-                let requests = 4 * u64::from(points);
-                let service = self.sram.read_loads(&self.loads[g], requests);
-                self.loads[g] = [0; N_BANKS];
-                let cycles = self.pe.run_ba_group(
-                    points as usize,
-                    self.head_dim,
-                    service,
-                    &mut self.counters,
-                );
-                self.stats.cycles += cycles;
-                self.stats.groups += 1;
-                self.stats.points += u64::from(points);
-                // The group's reads repeat every beat; the first beat was
-                // charged by read_loads.
-                self.sram.read_stream((beats - 1) * requests);
+    #[inline]
+    fn visit(&mut self, lanes: &KeptLanes) {
+        let engine = self.engine;
+        let (offsets, levels, anchors) = (lanes.offsets(), lanes.levels(), lanes.anchor_residues());
+        for (slice, run) in lanes.runs() {
+            if slice != self.slice {
+                self.issue();
+                self.slice = slice;
+            }
+            for ((&o, &level), &anchor) in
+                offsets[run.clone()].iter().zip(&levels[run.clone()]).zip(&anchors[run])
+            {
+                let set =
+                    engine.bank_sets[(level as usize).min(BANK_LEVELS - 1)][anchor as usize % 16];
+                if set == 0 {
+                    if self.error.is_none() {
+                        self.error =
+                            engine.settings.mapping.footprint_banks(level.into(), 0, 0).err();
+                    }
+                    continue;
+                }
+                let g = engine.group_of[o as usize] as usize;
+                self.slice_points += 1;
+                if self.sets[g] & set == 0 {
+                    self.sets[g] |= set;
+                } else {
+                    self.overlap(g, set);
+                }
             }
         }
+    }
+}
+
+impl SamplerPart<'_> {
+    /// Adds a point whose banks `set` overlap group `g`'s: the group's
+    /// per-bank loads start from its disjoint sets so far.
+    fn overlap(&mut self, g: usize, set: u16) {
+        if !self.overlapping[g] {
+            self.overlapping[g] = true;
+            add_loads(&mut self.loads[g], self.sets[g]);
+            self.sets[g] = u16::MAX;
+            self.slice_overlaps = true;
+        }
+        add_loads(&mut self.loads[g], set);
+    }
+
+    /// Issues the current slice's non-empty groups: the conflict-free ones
+    /// join the bulk count, an overlapping one is served by its per-bank
+    /// loads.
+    fn issue(&mut self) {
+        let points = std::mem::take(&mut self.slice_points);
+        if !std::mem::take(&mut self.slice_overlaps) {
+            self.free_groups += self.sets.iter().filter(|&&set| set != 0).count() as u64;
+            self.free_points += points;
+            self.sets.fill(0);
+            return;
+        }
+        let (beats, dh) = (self.engine.beats, self.engine.cfg.head_dim());
+        let groups = self.sets.iter_mut().zip(&mut self.loads).zip(&mut self.overlapping);
+        for ((set, loads), overlapping) in groups {
+            if !std::mem::take(overlapping) {
+                self.free_groups += u64::from(*set != 0);
+                self.free_points += u64::from(set.count_ones() / 4);
+                *set = 0;
+                continue;
+            }
+            *set = 0;
+            let loads = std::mem::replace(loads, [0; N_BANKS]);
+            let requests: u64 = loads.iter().map(|&l| u64::from(l)).sum();
+            let points = requests / 4;
+            let service = self.sram.read_loads(&loads, requests);
+            let pe = PeArray::new();
+            self.stats.cycles += pe.run_ba_group(points as usize, dh, service, &mut self.counters);
+            self.stats.groups += 1;
+            self.stats.points += points;
+            // The group's reads repeat every beat; the first beat was
+            // charged by read_loads.
+            self.sram.read_stream((beats - 1) * requests);
+        }
+    }
+
+    /// Issues the last slice, settles the conflict-free groups — one
+    /// service cycle per beat, four reads per point per beat, as
+    /// [`PeArray::run_ba_group`] and [`BankedSram::read_loads`] charge a
+    /// group without conflicts — and returns the range's first error,
+    /// stats and counters.
+    fn finish(mut self) -> (Option<ArchError>, MsgsStats, EventCounters) {
+        self.issue();
+        let (beats, dh) = (self.engine.beats, self.engine.cfg.head_dim() as u64);
+        let cycles = beats * self.free_groups;
+        self.stats.cycles += cycles;
+        self.stats.groups += self.free_groups;
+        self.stats.points += self.free_points;
+        self.counters.msgs_cycles += cycles;
+        self.counters.ba_channel_ops += self.free_points * dh;
+        self.sram.read_stream(beats * 4 * self.free_points);
+        self.stats.conflicts = self.sram.conflicts();
+        self.sram.drain_into(&mut self.counters);
+        (self.error, self.stats, self.counters)
+    }
+}
+
+/// Adds one load on each bank of `set`.
+fn add_loads(loads: &mut [u32; N_BANKS], set: u16) {
+    let mut bits = set;
+    while bits != 0 {
+        loads[bits.trailing_zeros() as usize] += 1;
+        bits &= bits - 1;
     }
 }
 
@@ -473,6 +627,29 @@ mod tests {
         assert_eq!(s_none.points, 0);
         assert_eq!(s_none.groups, 0);
         assert!(s_all.cycles > s_none.cycles);
+    }
+
+    /// The bank-set table, capped at its last row, is `footprint_banks`
+    /// for every `u8` level and anchor residue, in both mappings: the same
+    /// set, or 0 where the mapping has no bank group for the level.
+    #[test]
+    fn bank_set_table_equals_footprint_banks() {
+        let cfg = MsdaConfig::tiny();
+        for mapping in [BankMapping::InterLevel, BankMapping::IntraLevel] {
+            let engine =
+                MsgsEngine::new(&cfg, MsgsSettings { mapping, ..MsgsSettings::paper_default() })
+                    .unwrap();
+            for level in 0..=u8::MAX {
+                let row = engine.bank_sets[(level as usize).min(BANK_LEVELS - 1)];
+                for (y0, x0) in [(0i64, 0i64), (1, 2), (3, 3), (-1, -6), (i64::MAX, i64::MIN)] {
+                    let want = mapping
+                        .footprint_banks(level.into(), y0, x0)
+                        .map_or(0, |banks| banks.iter().fold(0u16, |set, &b| set | 1 << b));
+                    let got = row[((y0 & 3) * 4 + (x0 & 3)) as usize];
+                    assert_eq!(got, want, "{mapping:?} level {level} anchor ({y0}, {x0})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! End-to-end accelerator runs: functional pruning + cycle/energy model.
 
-use crate::dataflow::{simulate_block, BlockPruning};
+use crate::dataflow::{price_block, BlockPruning};
 use crate::msgs::{MsgsEngine, MsgsSettings, MsgsStats};
 use crate::report::RunReport;
 use crate::trace::StageCycles;
@@ -12,7 +12,7 @@ use defa_model::encoder::run_encoder_from;
 use defa_model::flops::BlockFlops;
 use defa_model::workload::SyntheticWorkload;
 use defa_model::MsdaConfig;
-use defa_prune::pipeline::{run_pruned_encoder_observed_from, PruneSettings};
+use defa_prune::pipeline::{run_pruned_encoder_visited_from, PruneSettings};
 use defa_prune::RangeConfig;
 
 /// A hardware run plus the functional output it computed.
@@ -126,35 +126,41 @@ impl DefaAccelerator {
         let mut stages_total = StageCycles::default();
         let mut sim_error: Option<CoreError> = None;
 
-        let run = run_pruned_encoder_observed_from(wl, prune, initial, |_k, out, info| {
-            if sim_error.is_some() {
-                return;
-            }
-            let pruning = BlockPruning {
-                point_keep: info.point_mask.keep_fraction(),
-                pixel_keep: info.fmap_mask.keep_fraction(),
-            };
-            match simulate_block(
-                cfg,
-                &engine,
-                &pe,
-                &out.locations,
-                info.point_mask.as_bools(),
-                pruning,
-                &mut counters,
-            ) {
-                Ok((stats, stages)) => {
-                    stages_total += stages;
-                    msgs_total.groups += stats.groups;
-                    msgs_total.points += stats.points;
-                    msgs_total.cycles += stats.cycles;
-                    msgs_total.conflicts += stats.conflicts;
-                    msgs_total.fmap_fetch_bits += stats.fmap_fetch_bits;
-                    msgs_total.spill_bits += stats.spill_bits;
+        // Stage 4 of every block walks its kept slots once: the engine's
+        // sampler rides on the pipeline's walk beside the aggregation and
+        // FWP counting, and the block is priced from what it saw.
+        let n = cfg.n_in();
+        let mut sampler = engine.sampler();
+        let run = run_pruned_encoder_visited_from(
+            wl,
+            prune,
+            initial,
+            &mut sampler,
+            |_k, _, info, sampler| {
+                if sim_error.is_some() {
+                    return;
                 }
-                Err(e) => sim_error = Some(e),
-            }
-        })?;
+                let keep = info.point_mask.as_bools();
+                let pruning = BlockPruning {
+                    point_keep: info.point_mask.keep_fraction(),
+                    pixel_keep: info.fmap_mask.keep_fraction(),
+                };
+                match price_block(cfg, &pe, pruning, &mut counters, |c| {
+                    sampler.settle(n, keep, pruning.pixel_keep, c)
+                }) {
+                    Ok((stats, stages)) => {
+                        stages_total += stages;
+                        msgs_total.groups += stats.groups;
+                        msgs_total.points += stats.points;
+                        msgs_total.cycles += stats.cycles;
+                        msgs_total.conflicts += stats.conflicts;
+                        msgs_total.fmap_fetch_bits += stats.fmap_fetch_bits;
+                        msgs_total.spill_bits += stats.spill_bits;
+                    }
+                    Err(e) => sim_error = Some(e),
+                }
+            },
+        )?;
         if let Some(e) = sim_error {
             return Err(e);
         }
@@ -205,7 +211,7 @@ impl DefaAccelerator {
         prune: &PruneSettings,
     ) -> Result<RunReport, CoreError> {
         use defa_prune::fwp::SampleFrequency;
-        use defa_prune::pap::point_mask;
+        use defa_prune::pap::{point_mask, retained_mass};
         use defa_prune::BitMask;
 
         let first = dec
@@ -261,7 +267,7 @@ impl DefaAccelerator {
                 memory_mask.kept() as u64,
                 prune.fwp.is_some(),
                 0,
-                1.0,
+                retained_mass(&out.probs, &pmask)?,
             );
 
             if let Some(fwp) = prune.fwp {
@@ -462,5 +468,7 @@ mod tests {
             (red.points_kept, red.pixels_kept, red.flops_pruned),
             (2_446, 1_504, 64_352_846)
         );
+        // The probability mass PAP kept, summed over the two blocks.
+        assert_eq!(red.retained_mass_sum, 1.9572272860262);
     }
 }

@@ -6,12 +6,12 @@
 //! matching `grid_sample(..., padding_mode="zeros")` in the official
 //! implementation.
 //!
-//! [`Footprint`] is the per-point reference: FWP's sample counting and the
-//! MSGS engine's bank addressing build one per point, and the golden tests
-//! check the lane-parallel aggregation kernel
-//! ([`crate::MsdaLayer::sample_and_aggregate`]) against a loop over it. That
-//! kernel computes the same weights and bounds tests slot-by-slot in SoA
-//! lanes, with the same [`f32`] expressions.
+//! [`Footprint`] is the per-point reference. Stage 4's kept-slot walk
+//! ([`crate::reference::walk_kept_points`]) computes the same floors,
+//! weights, bounds tests and neighbour tokens slot by slot in SoA lanes,
+//! with the same [`f32`] expressions, and hands them to the aggregation,
+//! FWP's frequency counting and the MSGS engine's bank sets alike. The
+//! golden tests check each of those against a loop over `Footprint`.
 
 use crate::LevelShape;
 
@@ -65,29 +65,7 @@ pub(crate) fn floor(x: f32) -> f32 {
     }
 }
 
-/// `x.floor() as i64`, for code that floors one point at a time.
-///
-/// The saturating `as i64` truncates; only a truncation above `x` (a
-/// negative non-integer) needs the `- 1`, which saturates at `i64::MIN`
-/// for `-∞` and values below `-2⁶³`. NaN truncates to 0 and compares
-/// false. Unlike [`floor`], which is built for SIMD lanes, this is the
-/// faster form in scalar code: two conversions and a compare replace the
-/// lanes' dependent adds and selects.
-#[inline]
-fn floor_to_int(x: f32) -> i64 {
-    let t = x as i64;
-    t.saturating_sub(i64::from(t as f32 > x))
-}
-
 impl Footprint {
-    /// The top-left neighbor `N0` of a sample at continuous `(x, y)`, as
-    /// `(x0, y0)`: bit for bit `at(x, y).neighbors[0]`, without the
-    /// weights. Bank addressing needs only this corner.
-    #[inline]
-    pub fn anchor(x: f32, y: f32) -> (i64, i64) {
-        (floor_to_int(x), floor_to_int(y))
-    }
-
     /// Computes the footprint of a sample at continuous `(x, y)`.
     pub fn at(x: f32, y: f32) -> Self {
         let x0 = floor(x);
@@ -223,9 +201,6 @@ mod tests {
             } else {
                 assert_eq!(floor(x).to_bits(), x.floor().to_bits(), "floor({x:e})");
             }
-            let y = -x * 0.5;
-            let want = (x.floor() as i64, y.floor() as i64);
-            assert_eq!(Footprint::anchor(x, y), want, "anchor({x:e}, {y:e})");
         }
         for i in -4000..4000 {
             let x = i as f32 / 64.0;

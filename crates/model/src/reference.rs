@@ -10,7 +10,8 @@ use crate::{FmapPyramid, ModelError, MsdaConfig};
 use defa_tensor::matmul::matmul;
 use defa_tensor::softmax::{softmax_heads, softmax_heads_thresholded, Thresholded};
 use defa_tensor::Tensor;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Below this many sampling points the per-query loops run sequentially:
 /// the scoped-thread helpers have no pool, so a spawn only pays off with
@@ -371,23 +372,16 @@ impl MsdaLayer {
     /// PAP description; an FWP-pruned pixel reads zero because the caller's
     /// row-masked value projection left its `value` row zero.
     ///
-    /// The kernel processes a query's points in parallel, head by head, in
-    /// two phases (the host side of the paper's multi-scale parallel
-    /// processing):
+    /// This is stage 4's kept-slot walk ([`walk_kept_points`]) with the
+    /// aggregation as its only visitor. The walk builds the kept slots'
+    /// footprints in SoA lanes ([`KeptLanes`]); the aggregation then turns
+    /// each `(query, head)` slice's lanes into a tap list and sums it:
     ///
-    /// 1. *Footprints, lane by lane.* The head's slots — under a mask only
-    ///    the kept ones, found by walking the packed keep bits — are copied
-    ///    into SoA lanes. Each block of 8 lanes then computes the bilinear
-    ///    weights with [`Footprint::at`](crate::bilinear::Footprint::at)'s
-    ///    exact `f32` expressions, the in-bounds tests as `f32` compares on
-    ///    the floored coordinates (reading NaN as 0, as the reference's
-    ///    saturating cast does), and the four neighbours' tokens. All of it
-    ///    is float adds, compares and selects, so it vectorizes; a
-    ///    float-to-int `as` cast would not. The lanes are then walked in
-    ///    slot order, `N0..N3` within a slot, into a tap list of `(token,
-    ///    probability × weight)`. A neighbour becomes a tap only when it is
-    ///    inside its level, its weight is nonzero and the slot's
-    ///    probability is nonzero: the per-point reference's skip rules.
+    /// 1. *Taps.* The lanes are walked in slot order, `N0..N3` within a
+    ///    slot, into a tap list of `(token, probability × weight)`. A
+    ///    neighbour becomes a tap only when it is inside its level, its
+    ///    weight is nonzero and the slot's probability is nonzero: the
+    ///    per-point reference's skip rules.
     /// 2. *Accumulation.* For each 8-channel block of the head, the taps
     ///    are summed into registers seeded from the output, which is
     ///    stored once; a head dimension that is not a multiple of 8 ends
@@ -397,8 +391,8 @@ impl MsdaLayer {
     /// for or on the thread count: every output channel adds the same
     /// products `probability × weight × value` in the same slot order as
     /// the sequential per-point loop, with separate multiplies and adds
-    /// (no fused multiply–add), and queries — computed in parallel — write
-    /// disjoint output rows.
+    /// (no fused multiply–add), and query ranges — walked in parallel —
+    /// write disjoint output rows.
     ///
     /// # Errors
     ///
@@ -413,13 +407,34 @@ impl MsdaLayer {
         value: &Tensor,
         point_mask: Option<&[bool]>,
     ) -> Result<Tensor, ModelError> {
+        self.sample_and_aggregate_visited(probs, locations, value, point_mask, &mut ())
+    }
+
+    /// [`sample_and_aggregate`](Self::sample_and_aggregate) with another
+    /// stage-4 visitor on the same walk: `visitor` sees every pass of
+    /// footprint lanes the aggregation sees, so FWP counting and the MSGS
+    /// engine share each footprint with it instead of walking the kept
+    /// slots again. With `()` this is exactly `sample_and_aggregate`.
+    ///
+    /// # Errors
+    ///
+    /// As [`sample_and_aggregate`](Self::sample_and_aggregate). The visitor
+    /// has seen the whole walk when a kept slot names a missing level.
+    pub fn sample_and_aggregate_visited<V: Stage4Visitor>(
+        &self,
+        probs: &Tensor,
+        locations: &[SamplePoint],
+        value: &Tensor,
+        point_mask: Option<&[bool]>,
+        visitor: &mut V,
+    ) -> Result<Tensor, ModelError> {
         let cfg = &self.cfg;
         let ppq = cfg.points_per_query();
         // The number of queries is the probability tensor's row count:
         // it equals `n_in` for encoder self-attention but is the object
         // query count for decoder cross-attention. The column count must
-        // be exactly points_per_query — the parallel loop below indexes
-        // rows by that stride.
+        // be exactly points_per_query — the walk indexes rows by that
+        // stride.
         if probs.shape().rank() != 2 || probs.shape().dims()[1] != ppq {
             return Err(ModelError::ShapeMismatch(format!(
                 "probs {} expected [n, {ppq}]",
@@ -450,42 +465,31 @@ impl MsdaLayer {
                 )));
             }
         }
-        // One entry per possible `u8` level: levels the configuration does
-        // not have keep zero extents, so their neighbours are never in
-        // bounds, and a kept point naming one is reported below.
-        // `validate` bounds extents by 2²² and the token count by 2³¹, so
-        // both are exact in the kernel's `f32` and 32-bit integer lanes.
-        let mut levels = [LevelGeom::default(); 256];
-        let mut base = 0u32;
-        for (g, shape) in levels.iter_mut().zip(&cfg.levels) {
-            *g = LevelGeom { wf: shape.w as f32, hf: shape.h as f32, w: shape.w as u32, base };
-            base += shape.pixels() as u32;
-        }
-        let kernel = AggKernel {
-            levels: &levels,
-            n_levels: cfg.n_levels() as u8,
-            value: value.as_slice(),
-            d,
-            dh: cfg.head_dim(),
-            lp: cfg.points_per_head(),
-        };
-        let pdata = probs.as_slice();
-        let bad_level = AtomicBool::new(false);
-
-        let mut output = Tensor::zeros([n, d]);
+        let walk = KeptWalk::new(cfg, locations, Some(probs.as_slice()), point_mask);
         // Each query's aggregation walks ppq points x 4 neighbors x dh
         // channels — substantial, so the gate is on the point count alone.
-        let parallel = n * ppq >= PAR_MIN_ELEMS / 4;
-        defa_parallel::par_chunks_mut_if(parallel, output.as_mut_slice(), d, |i, orow| {
-            let rows = i * ppq..(i + 1) * ppq;
-            let keep = point_mask.map(|pm| &pm[rows.clone()]);
-            let bad = kernel.aggregate_query(&pdata[rows.clone()], &locations[rows], keep, orow);
-            if bad {
-                // Read only after the workers join, so `Relaxed` suffices.
-                bad_level.store(true, Ordering::Relaxed);
-            }
-        });
-        if bad_level.into_inner() {
+        let ranges = query_ranges(n, n * ppq >= PAR_MIN_ELEMS / 4);
+        let mut output = Tensor::zeros([n, d]);
+        let mut rows = output.as_mut_slice();
+        let mut parts = Vec::with_capacity(ranges.len());
+        for (range, extra) in ranges.iter().zip(visitor.split(&ranges)) {
+            let (out, rest) = std::mem::take(&mut rows).split_at_mut(range.len() * d);
+            rows = rest;
+            let agg = AggPart {
+                value: value.as_slice(),
+                d,
+                dh: cfg.head_dim(),
+                heads: cfg.n_heads,
+                slice0: range.start * cfg.n_heads,
+                last: (range.start * cfg.n_heads, 0),
+                out,
+                taps: [(0, 0.0); 4 * LANES],
+            };
+            parts.push((agg, extra));
+        }
+        let (parts, bad) = walk.run(&ranges, parts);
+        visitor.join(parts.into_iter().map(|(_, extra)| extra).collect());
+        if bad {
             return Err(ModelError::ShapeMismatch(format!(
                 "a kept location samples a level outside the {} configured",
                 cfg.n_levels()
@@ -493,6 +497,171 @@ impl MsdaLayer {
         }
         Ok(output)
     }
+}
+
+/// Stage 4's kept-slot walk over one block, without the aggregation: the
+/// kept slots in slot order, 32 at a time, as passes of footprint lanes
+/// handed to `visitor` — FWP's frequency counting and the MSGS engine's
+/// bank sets walk the block this way when they run on their own.
+///
+/// `locations` holds the block's sampling points in slot order; its length
+/// need not be a whole number of queries (a short last query has only the
+/// slots given). `keep` selects the slots to walk (all when `None`). The
+/// walk runs over contiguous query ranges, in parallel when the block is
+/// large, and `visitor` reduces its ranges' state in range order.
+///
+/// Returns whether a kept slot names a level `cfg` does not have. Such a
+/// slot still reaches the visitor, with every neighbour outside.
+///
+/// # Errors
+///
+/// Returns [`ModelError::InvalidConfig`] if `cfg` fails validation and
+/// [`ModelError::ShapeMismatch`] if `keep` does not have one entry per
+/// location.
+pub fn walk_kept_points<V: Stage4Visitor>(
+    cfg: &MsdaConfig,
+    locations: &[SamplePoint],
+    keep: Option<&[bool]>,
+    visitor: &mut V,
+) -> Result<bool, ModelError> {
+    cfg.validate()?;
+    if let Some(k) = keep {
+        if k.len() != locations.len() {
+            return Err(ModelError::ShapeMismatch(format!(
+                "keep mask of {} for {} locations",
+                k.len(),
+                locations.len()
+            )));
+        }
+    }
+    let n = locations.len().div_ceil(cfg.points_per_query());
+    let walk = KeptWalk::new(cfg, locations, None, keep);
+    let ranges = query_ranges(n, locations.len() >= PAR_MIN_ELEMS / 4);
+    let parts = visitor.split(&ranges);
+    let (parts, bad) = walk.run(&ranges, parts);
+    visitor.join(parts);
+    Ok(bad)
+}
+
+/// A consumer of stage 4's footprint lanes over one contiguous range of
+/// queries.
+pub trait LaneVisitor {
+    /// Whether the visitor reads [`KeptLanes::offsets`],
+    /// [`KeptLanes::levels`] and [`KeptLanes::anchor_residues`]. The walk
+    /// computes them only for a visitor that does.
+    const READS_SLOTS: bool = false;
+
+    /// Whether the visitor reads [`KeptLanes::tokens`]. The walk computes
+    /// them only for a visitor that does.
+    const READS_TOKENS: bool = false;
+
+    /// Sees one pass of the walk: the next (up to 32) kept slots of the
+    /// range, in slot order.
+    fn visit(&mut self, lanes: &KeptLanes);
+}
+
+/// A stage-4 visitor: state that the kept-slot walk splits over its
+/// contiguous query ranges and reduces back in range order.
+///
+/// `()` is the empty visitor; a pair visits with both halves, `Some` with
+/// its content and `None` with nothing.
+pub trait Stage4Visitor {
+    /// One query range's share of the state.
+    type Part: LaneVisitor + Send;
+
+    /// One part per range, in range order.
+    fn split(&mut self, ranges: &[Range<usize>]) -> Vec<Self::Part>;
+
+    /// Folds the parts back, in range order.
+    fn join(&mut self, parts: Vec<Self::Part>);
+}
+
+impl LaneVisitor for () {
+    #[inline]
+    fn visit(&mut self, _: &KeptLanes) {}
+}
+
+impl<A: LaneVisitor, B: LaneVisitor> LaneVisitor for (A, B) {
+    const READS_SLOTS: bool = A::READS_SLOTS || B::READS_SLOTS;
+    const READS_TOKENS: bool = A::READS_TOKENS || B::READS_TOKENS;
+
+    #[inline(always)]
+    fn visit(&mut self, lanes: &KeptLanes) {
+        self.0.visit(lanes);
+        self.1.visit(lanes);
+    }
+}
+
+impl<V: LaneVisitor> LaneVisitor for Option<V> {
+    const READS_SLOTS: bool = V::READS_SLOTS;
+    const READS_TOKENS: bool = V::READS_TOKENS;
+
+    #[inline(always)]
+    fn visit(&mut self, lanes: &KeptLanes) {
+        if let Some(v) = self {
+            v.visit(lanes);
+        }
+    }
+}
+
+impl Stage4Visitor for () {
+    type Part = ();
+
+    fn split(&mut self, ranges: &[Range<usize>]) -> Vec<()> {
+        vec![(); ranges.len()]
+    }
+
+    fn join(&mut self, _: Vec<()>) {}
+}
+
+impl<A: Stage4Visitor, B: Stage4Visitor> Stage4Visitor for (A, B) {
+    type Part = (A::Part, B::Part);
+
+    fn split(&mut self, ranges: &[Range<usize>]) -> Vec<Self::Part> {
+        self.0.split(ranges).into_iter().zip(self.1.split(ranges)).collect()
+    }
+
+    fn join(&mut self, parts: Vec<Self::Part>) {
+        let (a, b) = parts.into_iter().unzip();
+        self.0.join(a);
+        self.1.join(b);
+    }
+}
+
+impl<V: Stage4Visitor> Stage4Visitor for Option<V> {
+    type Part = Option<V::Part>;
+
+    fn split(&mut self, ranges: &[Range<usize>]) -> Vec<Self::Part> {
+        match self {
+            Some(v) => v.split(ranges).into_iter().map(Some).collect(),
+            None => ranges.iter().map(|_| None).collect(),
+        }
+    }
+
+    fn join(&mut self, parts: Vec<Self::Part>) {
+        if let Some(v) = self {
+            v.join(parts.into_iter().flatten().collect());
+        }
+    }
+}
+
+impl<V: Stage4Visitor + ?Sized> Stage4Visitor for &mut V {
+    type Part = V::Part;
+
+    fn split(&mut self, ranges: &[Range<usize>]) -> Vec<Self::Part> {
+        (**self).split(ranges)
+    }
+
+    fn join(&mut self, parts: Vec<Self::Part>) {
+        (**self).join(parts);
+    }
+}
+
+/// `n` queries in contiguous near-equal ranges: one per helper thread when
+/// `parallel`, else one.
+fn query_ranges(n: usize, parallel: bool) -> Vec<Range<usize>> {
+    let t = if parallel { defa_parallel::current_num_threads().clamp(1, n.max(1)) } else { 1 };
+    (0..t).map(|k| n * k / t..n * (k + 1) / t).collect()
 }
 
 /// Slots one footprint pass holds. A head with more points runs in several
@@ -509,7 +678,10 @@ const BLOCKS: usize = LANES / LANE_BLOCK;
 /// Channels one accumulator block holds in registers.
 const CHANNEL_BLOCK: usize = 8;
 
-/// One pyramid level as the aggregation kernel's lanes read it.
+/// One value per lane, in blocks of [`LANE_BLOCK`].
+type Lanes<T> = [[T; LANE_BLOCK]; BLOCKS];
+
+/// One pyramid level as the walk's lanes read it.
 #[derive(Debug, Clone, Copy, Default)]
 struct LevelGeom {
     /// Width and height as `f32`, exact below [`crate::config::MAX_EXTENT`].
@@ -520,135 +692,378 @@ struct LevelGeom {
     base: u32,
 }
 
-/// The read-only inputs of [`MsdaLayer::sample_and_aggregate`]'s kernel,
-/// shared by every query row.
-struct AggKernel<'a> {
-    levels: &'a [LevelGeom; 256],
+/// One pass of stage 4's kept-slot walk: the bilinear footprints of up to
+/// 32 kept slots, in slot order, as SoA lanes. A pass fills its lanes
+/// across `(query, head)` slices — numbered `query · n_heads + head` — so
+/// a sparsely kept block still computes whole blocks of lanes; its
+/// [`runs`](Self::runs) say which lanes belong to which slice.
+///
+/// The walk gathers the slots into the lanes and computes, a whole block
+/// of 8 lanes at a time, the in-bounds tests as `f32` compares on the
+/// floored coordinates (reading NaN as 0, as the reference's saturating
+/// cast does), the four neighbours' tokens and — when the aggregation
+/// reads them — the bilinear weights with
+/// [`Footprint::at`](crate::bilinear::Footprint::at)'s exact `f32`
+/// expressions. All of it is float adds, compares and selects, so it
+/// vectorizes; a float-to-int `as` cast would not.
+#[derive(Debug, Default)]
+pub struct KeptLanes {
+    len: usize,
+    /// Each run's slice and first lane, in lane order.
+    runs: [(usize, usize); LANES],
+    n_runs: usize,
+    // Gathered per slot: its offset in its slice and its level (for the
+    // visitors that read them), the point, its probability and its
+    // level's geometry.
+    offset: Lanes<u32>,
+    level: Lanes<u8>,
+    xs: Lanes<f32>,
+    ys: Lanes<f32>,
+    ps: Lanes<f32>,
+    wfs: Lanes<f32>,
+    hfs: Lanes<f32>,
+    ws: Lanes<u32>,
+    bases: Lanes<u32>,
+    /// The top-left neighbour's coordinates modulo 4, `(y0 & 3) · 4 +
+    /// (x0 & 3)`.
+    residue: Lanes<u32>,
+    // Per neighbour N0..N3: token, probability × weight, and whether it
+    // becomes an aggregation tap.
+    token: [Lanes<u32>; 4],
+    ww: [Lanes<f32>; 4],
+    live: [Lanes<u32>; 4],
+}
+
+impl KeptLanes {
+    /// The pass's slices in lane order, each with the range of its lanes.
+    /// A slice's kept slots are consecutive lanes, slices only move
+    /// forward, and a slice split across two passes ends the first and
+    /// starts the second.
+    pub fn runs(&self) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let runs = &self.runs[..self.n_runs];
+        let ends = runs.iter().skip(1).map(|&(_, start)| start).chain([self.len]);
+        runs.iter().zip(ends).map(|(&(slice, start), end)| (slice, start..end))
+    }
+
+    /// Starts slice `slice`'s run at lane `start`, the lane its next kept
+    /// slot takes.
+    #[inline]
+    fn open_run(&mut self, slice: usize, start: usize) {
+        self.runs[self.n_runs] = (slice, start);
+        self.n_runs += 1;
+    }
+
+    /// Each lane's slot offset within its slice, in `0..points_per_head`.
+    /// Gathered for a visitor with [`LaneVisitor::READS_SLOTS`].
+    pub fn offsets(&self) -> &[u32] {
+        &self.offset.as_flattened()[..self.len]
+    }
+
+    /// Each lane's level index, as its location names it. Gathered for a
+    /// visitor with [`LaneVisitor::READS_SLOTS`].
+    pub fn levels(&self) -> &[u8] {
+        &self.level.as_flattened()[..self.len]
+    }
+
+    /// Each lane's top-left neighbour `N0 = (x0, y0)` modulo 4, as
+    /// `(y0 & 3) · 4 + (x0 & 3)` of `Footprint::at(x, y).neighbors[0]`'s
+    /// saturated integer coordinates (NaN reads as 0, ±∞ as `i64::MAX`
+    /// and `i64::MIN`). Computed for a visitor with
+    /// [`LaneVisitor::READS_SLOTS`].
+    pub fn anchor_residues(&self) -> &[u32] {
+        &self.residue.as_flattened()[..self.len]
+    }
+
+    /// Neighbour `k`'s flat pyramid token per lane (`N0..N3` for `k` in
+    /// `0..4`). A neighbour outside its level reads the pyramid's token
+    /// count, one past the last token. Computed for a visitor with
+    /// [`LaneVisitor::READS_TOKENS`].
+    pub fn tokens(&self, k: usize) -> &[u32] {
+        &self.token[k].as_flattened()[..self.len]
+    }
+
+    /// Computes the footprints of the first `len` lanes, a whole block of
+    /// lanes at a time (lanes past `len` hold stale values and are never
+    /// read back): what visitor `P` reads, plus the aggregation's weights
+    /// and taps when `WEIGHTS`. `outside` is the token of a neighbour
+    /// outside its level.
+    #[inline(always)]
+    fn footprints<P: LaneVisitor, const WEIGHTS: bool>(&mut self, outside: u32) {
+        // The least `f32` that the saturating `as i64` clamps to `i64::MAX`.
+        const TWO_63: f32 = 9_223_372_036_854_775_808.0;
+        for b in 0..self.len.div_ceil(LANE_BLOCK) {
+            for j in 0..LANE_BLOCK {
+                let (x, y) = (self.xs[b][j], self.ys[b][j]);
+                let (fx, fy) = (floor(x), floor(y));
+                // The reference's saturating integer cast reads NaN as 0;
+                // every other floor is an integer or ±∞, compared exactly.
+                let xn = if fx.is_nan() { 0.0 } else { fx };
+                let yn = if fy.is_nan() { 0.0 } else { fy };
+                if P::READS_SLOTS {
+                    // `c - 4·⌊c/4⌋` is exact for every finite integer `c`:
+                    // the saturating cast's `c & 3`, except that `c ≥ 2⁶³`
+                    // (and +∞) saturate to 3 and −∞ (NaN here) to 0.
+                    let residue = |c: f32| {
+                        let r = c - 4.0 * floor(c * 0.25);
+                        if c >= TWO_63 {
+                            3.0
+                        } else if r >= 0.0 {
+                            r
+                        } else {
+                            0.0
+                        }
+                    };
+                    let key = residue(yn) * 4.0 + residue(xn);
+                    self.residue[b][j] = (key + 8_388_608.0).to_bits().wrapping_sub(0x4B00_0000);
+                }
+                if !(P::READS_TOKENS || WEIGHTS) {
+                    continue;
+                }
+                let (wf, hf) = (self.wfs[b][j], self.hfs[b][j]);
+                let x_in = [(xn >= 0.0) & (xn < wf), (xn >= -1.0) & (xn < wf - 1.0)];
+                let y_in = [(yn >= 0.0) & (yn < hf), (yn >= -1.0) & (yn < hf - 1.0)];
+                let inside =
+                    [x_in[0] & y_in[0], x_in[1] & y_in[0], x_in[0] & y_in[1], x_in[1] & y_in[1]];
+                // Integer coordinates, exact whenever a neighbour is in
+                // bounds: clamped to [-1, extent], `c + 2²³ + 1` is an
+                // integer in [2²³, 2²⁴) whose low mantissa bits are `c + 1`.
+                let to_int = |c: f32, extent: f32| {
+                    let c = if c < -1.0 { -1.0 } else { c };
+                    let c = if c > extent { extent } else { c };
+                    (c + 8_388_609.0).to_bits().wrapping_sub(0x4B00_0001)
+                };
+                let w = self.ws[b][j];
+                let t = self.bases[b][j]
+                    .wrapping_add(to_int(yn, hf).wrapping_mul(w))
+                    .wrapping_add(to_int(xn, wf));
+                let tokens = [t, t.wrapping_add(1), t.wrapping_add(w), t.wrapping_add(w + 1)];
+                // The aggregation reads only the tokens of its taps, which
+                // are inside; the out-of-level token is for visitors.
+                for k in 0..4 {
+                    self.token[k][b][j] =
+                        if P::READS_TOKENS && !inside[k] { outside } else { tokens[k] };
+                }
+                if WEIGHTS {
+                    let p = self.ps[b][j];
+                    let t1 = x - fx;
+                    let t0 = y - fy;
+                    let weights =
+                        [(1.0 - t1) * (1.0 - t0), t1 * (1.0 - t0), (1.0 - t1) * t0, t1 * t0];
+                    for k in 0..4 {
+                        self.ww[k][b][j] = p * weights[k];
+                        self.live[k][b][j] =
+                            u32::from(inside[k] & (weights[k] != 0.0) & (p != 0.0));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Writes the aggregation taps of `lanes`, in slot order and `N0..N3`
+    /// within a slot, and returns how many there are.
+    fn taps(&self, lanes: Range<usize>, taps: &mut [(u32, f32); 4 * LANES]) -> usize {
+        let token: [&[u32]; 4] =
+            std::array::from_fn(|k| &self.token[k].as_flattened()[lanes.clone()]);
+        let ww: [&[f32]; 4] = std::array::from_fn(|k| &self.ww[k].as_flattened()[lanes.clone()]);
+        let live: [&[u32]; 4] =
+            std::array::from_fn(|k| &self.live[k].as_flattened()[lanes.clone()]);
+        let mut nt = 0;
+        for i in 0..lanes.len() {
+            for k in 0..4 {
+                taps[nt] = (token[k][i], ww[k][i]);
+                nt += live[k][i] as usize;
+            }
+        }
+        nt
+    }
+}
+
+/// The read-only inputs of stage 4's walk, shared by every query range.
+struct KeptWalk<'a> {
+    /// One entry per possible `u8` level: levels the configuration does
+    /// not have keep zero extents, so their neighbours are never in
+    /// bounds. `validate` bounds extents by 2²² and the token count by
+    /// 2³¹, so both are exact in the lanes' `f32` and 32-bit integers.
+    levels: [LevelGeom; 256],
     n_levels: u8,
+    /// The pyramid's token count: the token of a neighbour outside.
+    n_tokens: u32,
+    lp: usize,
+    ppq: usize,
+    locations: &'a [SamplePoint],
+    /// Slot probabilities; every slot reads 1 without them.
+    probs: Option<&'a [f32]>,
+    keep: Option<&'a [bool]>,
+}
+
+impl<'a> KeptWalk<'a> {
+    fn new(
+        cfg: &MsdaConfig,
+        locations: &'a [SamplePoint],
+        probs: Option<&'a [f32]>,
+        keep: Option<&'a [bool]>,
+    ) -> Self {
+        let mut levels = [LevelGeom::default(); 256];
+        let mut base = 0u32;
+        for (g, shape) in levels.iter_mut().zip(&cfg.levels) {
+            *g = LevelGeom { wf: shape.w as f32, hf: shape.h as f32, w: shape.w as u32, base };
+            base += shape.pixels() as u32;
+        }
+        KeptWalk {
+            levels,
+            n_levels: cfg.n_levels() as u8,
+            n_tokens: base,
+            lp: cfg.points_per_head(),
+            ppq: cfg.points_per_query(),
+            locations,
+            probs,
+            keep,
+        }
+    }
+
+    /// Walks each range with its part, in parallel when there are several,
+    /// and returns the parts in range order and whether a kept slot named
+    /// a missing level.
+    fn run<P: LaneVisitor + Send>(&self, ranges: &[Range<usize>], parts: Vec<P>) -> (Vec<P>, bool) {
+        let mut jobs: Vec<_> =
+            ranges.iter().cloned().zip(parts).map(|(range, part)| (range, part, false)).collect();
+        defa_parallel::par_chunks_mut_if(jobs.len() > 1, &mut jobs, 1, |_, job| {
+            for (queries, part, bad) in job {
+                *bad = match self.probs {
+                    Some(probs) => self.walk::<P, true>(queries.clone(), probs, part),
+                    None => self.walk::<P, false>(queries.clone(), &[], part),
+                };
+            }
+        });
+        let bad = jobs.iter().any(|&(_, _, bad)| bad);
+        (jobs.into_iter().map(|(_, part, _)| part).collect(), bad)
+    }
+
+    /// Walks the kept slots of `queries` in slot order, handing each full
+    /// pass of lanes (and the last, partial one) to `part`. Returns whether
+    /// a kept slot named a level the configuration does not have.
+    fn walk<P: LaneVisitor, const PROBS: bool>(
+        &self,
+        queries: Range<usize>,
+        probs: &[f32],
+        part: &mut P,
+    ) -> bool {
+        let mut lanes = KeptLanes::default();
+        let mut bad = false;
+        let lp = self.lp;
+        let lo = queries.start * self.ppq;
+        let hi = (queries.end * self.ppq).min(self.locations.len());
+        let mut cnt = 0;
+        // Slices start every `lp` slots, and `lo` is a query's first slot.
+        for (slice, start) in (lo / lp..).zip((lo..hi).step_by(lp)) {
+            let end = (start + lp).min(hi);
+            let mut opened = false;
+            for w0 in (start..end).step_by(64) {
+                let m = 64.min(end - w0);
+                let mut kept =
+                    self.keep.map_or(u64::MAX >> (64 - m), |k| pack_keep(&k[w0..w0 + m]));
+                if kept != 0 && !opened {
+                    lanes.open_run(slice, cnt);
+                    opened = true;
+                }
+                while kept != 0 {
+                    let s = w0 + kept.trailing_zeros() as usize;
+                    kept &= kept - 1;
+                    let pt = self.locations[s];
+                    bad |= pt.level >= self.n_levels;
+                    let (b, j) = (cnt / LANE_BLOCK, cnt % LANE_BLOCK);
+                    if P::READS_SLOTS {
+                        lanes.offset[b][j] = (s - start) as u32;
+                        lanes.level[b][j] = pt.level;
+                    }
+                    lanes.xs[b][j] = pt.x;
+                    lanes.ys[b][j] = pt.y;
+                    if PROBS {
+                        lanes.ps[b][j] = probs[s];
+                    }
+                    if P::READS_TOKENS || PROBS {
+                        let g = self.levels[pt.level as usize];
+                        lanes.wfs[b][j] = g.wf;
+                        lanes.hfs[b][j] = g.hf;
+                        lanes.ws[b][j] = g.w;
+                        lanes.bases[b][j] = g.base;
+                    }
+                    cnt += 1;
+                    if cnt == LANES {
+                        Self::pass::<P, PROBS>(&mut lanes, cnt, self.n_tokens, part);
+                        cnt = 0;
+                        // The slice's remaining kept slots continue in the
+                        // next pass; a later word reopens it otherwise.
+                        opened = kept != 0;
+                        if opened {
+                            lanes.open_run(slice, 0);
+                        }
+                    }
+                }
+            }
+        }
+        if cnt > 0 {
+            Self::pass::<P, PROBS>(&mut lanes, cnt, self.n_tokens, part);
+        }
+        bad
+    }
+
+    /// Computes the footprints of the first `cnt` lanes — with the
+    /// aggregation's weights when the walk has probabilities — and hands
+    /// them to `part`.
+    fn pass<P: LaneVisitor, const PROBS: bool>(
+        lanes: &mut KeptLanes,
+        cnt: usize,
+        n_tokens: u32,
+        part: &mut P,
+    ) {
+        lanes.len = cnt;
+        lanes.footprints::<P, PROBS>(n_tokens);
+        part.visit(lanes);
+        lanes.n_runs = 0;
+    }
+}
+
+/// The aggregation's share of one query range: the range's output rows.
+struct AggPart<'a> {
     value: &'a [f32],
     d: usize,
     dh: usize,
-    lp: usize,
+    heads: usize,
+    /// The range's first slice.
+    slice0: usize,
+    /// The last slice summed and its head.
+    last: (usize, usize),
+    out: &'a mut [f32],
+    /// The tap list: value token and weight.
+    taps: [(u32, f32); 4 * LANES],
 }
 
-impl AggKernel<'_> {
-    /// Aggregates one query row into `orow`. Returns whether a kept slot
-    /// named a level the configuration does not have.
-    fn aggregate_query(
-        &self,
-        probs: &[f32],
-        locs: &[SamplePoint],
-        keep: Option<&[bool]>,
-        orow: &mut [f32],
-    ) -> bool {
-        type Lanes<T> = [[T; LANE_BLOCK]; BLOCKS];
-        let (lp, dh, d) = (self.lp, self.dh, self.d);
-        // Gathered lanes: the point, its probability and its level.
-        let mut xs: Lanes<f32> = Default::default();
-        let mut ys: Lanes<f32> = Default::default();
-        let mut ps: Lanes<f32> = Default::default();
-        let mut wfs: Lanes<f32> = Default::default();
-        let mut hfs: Lanes<f32> = Default::default();
-        let mut ws: Lanes<u32> = Default::default();
-        let mut bases: Lanes<u32> = Default::default();
-        // Footprint lanes, per neighbour N0..N3: token, probability ×
-        // weight, and whether it becomes a tap.
-        let mut token: [Lanes<u32>; 4] = Default::default();
-        let mut ww: [Lanes<f32>; 4] = Default::default();
-        let mut live: [Lanes<u32>; 4] = Default::default();
-        // The tap list: value token and weight.
-        let mut taps = [(0u32, 0f32); 4 * LANES];
-        let mut bad = false;
-        for (h, orow) in orow.chunks_exact_mut(dh).enumerate() {
-            let chan0 = h * dh;
-            for s0 in (h * lp..(h + 1) * lp).step_by(LANES) {
-                let m = LANES.min((h + 1) * lp - s0);
-                // Gather the kept slots, in order, into the lanes.
-                let mut kept = keep.map_or(u64::MAX >> (64 - m), |k| pack_keep(&k[s0..s0 + m]));
-                let mut cnt = 0;
-                while kept != 0 {
-                    let s = s0 + kept.trailing_zeros() as usize;
-                    kept &= kept - 1;
-                    let pt = locs[s];
-                    bad |= pt.level >= self.n_levels;
-                    let g = self.levels[pt.level as usize];
-                    let (b, j) = (cnt / LANE_BLOCK, cnt % LANE_BLOCK);
-                    xs[b][j] = pt.x;
-                    ys[b][j] = pt.y;
-                    ps[b][j] = probs[s];
-                    wfs[b][j] = g.wf;
-                    hfs[b][j] = g.hf;
-                    ws[b][j] = g.w;
-                    bases[b][j] = g.base;
-                    cnt += 1;
-                }
-                // Footprints, a whole block of lanes at a time (lanes past
-                // `cnt` hold stale values and are never read back): the
-                // weights in `Footprint::at`'s expressions, the bounds
-                // tests on the floored coordinates.
-                for b in 0..cnt.div_ceil(LANE_BLOCK) {
-                    for j in 0..LANE_BLOCK {
-                        let (x, y, p) = (xs[b][j], ys[b][j], ps[b][j]);
-                        let (fx, fy) = (floor(x), floor(y));
-                        let t1 = x - fx;
-                        let t0 = y - fy;
-                        let weights =
-                            [(1.0 - t1) * (1.0 - t0), t1 * (1.0 - t0), (1.0 - t1) * t0, t1 * t0];
-                        // The reference's saturating integer cast reads NaN
-                        // as 0; every other floor is an integer or ±∞,
-                        // compared exactly.
-                        let xn = if fx.is_nan() { 0.0 } else { fx };
-                        let yn = if fy.is_nan() { 0.0 } else { fy };
-                        let (wf, hf) = (wfs[b][j], hfs[b][j]);
-                        let x_in = [(xn >= 0.0) & (xn < wf), (xn >= -1.0) & (xn < wf - 1.0)];
-                        let y_in = [(yn >= 0.0) & (yn < hf), (yn >= -1.0) & (yn < hf - 1.0)];
-                        let inside = [
-                            x_in[0] & y_in[0],
-                            x_in[1] & y_in[0],
-                            x_in[0] & y_in[1],
-                            x_in[1] & y_in[1],
-                        ];
-                        // Integer coordinates, exact whenever a neighbour is
-                        // in bounds: clamped to [-1, extent], `c + 2²³ + 1`
-                        // is an integer in [2²³, 2²⁴) whose low mantissa
-                        // bits are `c + 1`.
-                        let to_int = |c: f32, extent: f32| {
-                            let c = if c < -1.0 { -1.0 } else { c };
-                            let c = if c > extent { extent } else { c };
-                            (c + 8_388_609.0).to_bits().wrapping_sub(0x4B00_0001)
-                        };
-                        let w = ws[b][j];
-                        let t = bases[b][j]
-                            .wrapping_add(to_int(yn, hf).wrapping_mul(w))
-                            .wrapping_add(to_int(xn, wf));
-                        let tokens =
-                            [t, t.wrapping_add(1), t.wrapping_add(w), t.wrapping_add(w + 1)];
-                        for k in 0..4 {
-                            token[k][b][j] = tokens[k];
-                            ww[k][b][j] = p * weights[k];
-                            live[k][b][j] = u32::from(inside[k] & (weights[k] != 0.0) & (p != 0.0));
-                        }
-                    }
-                }
-                // The tap list, in slot order and N0..N3 within a slot.
-                let mut nt = 0;
-                for b in 0..cnt.div_ceil(LANE_BLOCK) {
-                    for j in 0..LANE_BLOCK.min(cnt - b * LANE_BLOCK) {
-                        for k in 0..4 {
-                            taps[nt] = (token[k][b][j], ww[k][b][j]);
-                            nt += live[k][b][j] as usize;
-                        }
-                    }
-                }
-                accumulate(self.value, d, chan0, &taps[..nt], orow);
+impl LaneVisitor for AggPart<'_> {
+    /// Sums each slice's taps into its head's channels; a slice split over
+    /// two passes continues its sums in slot order.
+    #[inline(always)]
+    fn visit(&mut self, lanes: &KeptLanes) {
+        for (slice, run) in lanes.runs() {
+            let nt = lanes.taps(run, &mut self.taps);
+            // Slices only move forward; the head wraps once per query.
+            let (last, head) = self.last;
+            let mut head = head + (slice - last);
+            if head >= self.heads {
+                head %= self.heads;
             }
+            self.last = (slice, head);
+            let row = (slice - self.slice0) * self.dh;
+            let chan0 = head * self.dh;
+            let out = &mut self.out[row..row + self.dh];
+            accumulate(self.value, self.d, chan0, &self.taps[..nt], out);
         }
-        bad
     }
 }
 
 /// Adds `w · value[token, chan0 + c]` over the taps, in tap order, to
 /// every channel `c` of `out`, holding 8-channel blocks in registers.
+#[inline(always)]
 fn accumulate(value: &[f32], d: usize, chan0: usize, taps: &[(u32, f32)], out: &mut [f32]) {
     let tail0 = out.len() / CHANNEL_BLOCK * CHANNEL_BLOCK;
     let mut blocks = out.chunks_exact_mut(CHANNEL_BLOCK);

@@ -8,8 +8,9 @@
 
 use crate::{BitMask, PruneError};
 use defa_model::bilinear::Footprint;
-use defa_model::sampling::for_each_kept;
+use defa_model::reference::{walk_kept_points, KeptLanes, LaneVisitor, Stage4Visitor};
 use defa_model::{MsdaConfig, SamplePoint};
+use std::ops::Range;
 
 /// FWP hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,9 +78,13 @@ impl SampleFrequency {
 
     /// Records one bilinear sample: every in-bounds neighbor of the point is
     /// counted once, exactly as Figure 2 (right) illustrates.
+    ///
+    /// The per-point reference of [`record_all`](Self::record_all): one
+    /// [`Footprint`] per call. A point naming a level `cfg` does not have
+    /// is ignored.
     pub fn record(&mut self, cfg: &MsdaConfig, pt: SamplePoint) {
         let level = pt.level as usize;
-        if level >= self.level_offsets.len() {
+        if level >= self.level_offsets.len() || level >= cfg.n_levels() {
             return;
         }
         let shape = cfg.levels[level];
@@ -93,12 +98,15 @@ impl SampleFrequency {
 
     /// Records every point in a slice (respecting an optional keep mask of
     /// the same length: pruned points never reach MSGS, so they are never
-    /// counted).
+    /// counted), as stage 4's kept-slot walk with this counter as its one
+    /// visitor. A kept point naming a level `cfg` does not have is ignored,
+    /// as [`record`](Self::record) ignores it.
     ///
     /// # Errors
     ///
     /// Returns [`PruneError::ShapeMismatch`] if a mask is provided with a
-    /// different length than `points`.
+    /// different length than `points`, or if `cfg` has another token count
+    /// than the configuration the counters were made for.
     pub fn record_all(
         &mut self,
         cfg: &MsdaConfig,
@@ -113,12 +121,15 @@ impl SampleFrequency {
                     points.len()
                 )));
             }
-            for_each_kept(mask, |i| self.record(cfg, points[i]));
-        } else {
-            for pt in points {
-                self.record(cfg, *pt);
-            }
         }
+        if cfg.n_in() != self.counts.len() {
+            return Err(PruneError::ShapeMismatch(format!(
+                "counters for {} tokens recording a {}-token configuration",
+                self.counts.len(),
+                cfg.n_in()
+            )));
+        }
+        walk_kept_points(cfg, points, keep, self)?;
         Ok(())
     }
 
@@ -169,6 +180,44 @@ impl SampleFrequency {
             }
         }
         Ok(BitMask::from_bools(bits))
+    }
+}
+
+/// One query range's FWP counters: one per token, plus one that every
+/// neighbour outside its level lands on, so counting needs no branch.
+#[derive(Debug)]
+pub struct FwpCounts {
+    counts: Vec<u32>,
+}
+
+impl LaneVisitor for FwpCounts {
+    const READS_TOKENS: bool = true;
+
+    #[inline]
+    fn visit(&mut self, lanes: &KeptLanes) {
+        for k in 0..4 {
+            for &t in lanes.tokens(k) {
+                self.counts[t as usize] += 1;
+            }
+        }
+    }
+}
+
+/// The fmap mask generator's frequency counting as a stage-4 visitor:
+/// `counts[token] += 1` for each in-bounds neighbour of each kept slot.
+impl Stage4Visitor for SampleFrequency {
+    type Part = FwpCounts;
+
+    fn split(&mut self, ranges: &[Range<usize>]) -> Vec<FwpCounts> {
+        ranges.iter().map(|_| FwpCounts { counts: vec![0; self.counts.len() + 1] }).collect()
+    }
+
+    fn join(&mut self, parts: Vec<FwpCounts>) {
+        for part in parts {
+            for (c, &p) in self.counts.iter_mut().zip(&part.counts) {
+                *c += p;
+            }
+        }
     }
 }
 

@@ -11,7 +11,9 @@
 //! 3. the value projection runs under the **fmap mask** that the *previous*
 //!    block's frequency counters produced (FWP);
 //! 4. MSGS + aggregation run over surviving points only, while the fmap
-//!    mask generator counts frequencies for the *next* block.
+//!    mask generator counts frequencies for the *next* block: one walk over
+//!    the kept slots builds each footprint once for both (and for the
+//!    accelerator model's MSGS engine, when it rides along).
 //!
 //! This module reproduces that schedule functionally (bit-accurate masks and
 //! outputs); `defa-core` replays the same schedule on the cycle-level
@@ -24,7 +26,7 @@ use crate::stats::ReductionStats;
 use crate::{BitMask, PruneError};
 use defa_model::encoder::block_update;
 use defa_model::flops::BlockFlops;
-use defa_model::reference::{generate_kept_locations, LayerOutput};
+use defa_model::reference::{generate_kept_locations, LayerOutput, Stage4Visitor};
 use defa_model::workload::SyntheticWorkload;
 use defa_model::{FmapPyramid, MsdaConfig};
 use defa_tensor::matmul::matmul;
@@ -143,6 +145,31 @@ pub fn run_pruned_encoder_observed_from<F>(
 where
     F: FnMut(usize, &LayerOutput, &BlockPruneInfo),
 {
+    run_pruned_encoder_visited_from(wl, settings, initial, &mut (), |k, out, info, _| {
+        observe(k, out, info)
+    })
+}
+
+/// [`run_pruned_encoder_observed_from`] with one more visitor on stage 4's
+/// kept-slot walk: `stage4` sees every block's footprints beside the
+/// aggregation and FWP counting, and `observe` receives it after each
+/// block. The accelerator model passes its MSGS engine here, so the
+/// engine's bank sets come from the same walk instead of a second one.
+///
+/// # Errors
+///
+/// Propagates model and mask errors.
+pub fn run_pruned_encoder_visited_from<V, F>(
+    wl: &SyntheticWorkload,
+    settings: &PruneSettings,
+    initial: &FmapPyramid,
+    stage4: &mut V,
+    mut observe: F,
+) -> Result<PrunedRun, PruneError>
+where
+    V: Stage4Visitor,
+    F: FnMut(usize, &LayerOutput, &BlockPruneInfo, &mut V),
+{
     let cfg: &MsdaConfig = wl.config();
     let n = cfg.n_in();
     let ppq = cfg.points_per_query();
@@ -202,14 +229,18 @@ where
         )
         .map_err(defa_model::ModelError::from)?;
 
-        // Stage 4: fused MSGS + aggregation over surviving points; FWP
-        // counts frequencies for the next block from the same points.
-        let output =
-            layer.sample_and_aggregate(&probs, &locations, &value, Some(pmask.as_bools()))?;
-
-        if let Some(fwp) = settings.fwp {
-            let mut freq = SampleFrequency::new(cfg)?;
-            freq.record_all(cfg, &locations, Some(pmask.as_bools()))?;
+        // Stage 4: one walk over the surviving points builds each
+        // footprint once; the aggregation, FWP's frequency counting for
+        // the next block and the caller's visitor all read it.
+        let mut freq = settings.fwp.map(|_| SampleFrequency::new(cfg)).transpose()?;
+        let output = layer.sample_and_aggregate_visited(
+            &probs,
+            &locations,
+            &value,
+            Some(pmask.as_bools()),
+            &mut (freq.as_mut(), &mut *stage4),
+        )?;
+        if let (Some(fwp), Some(freq)) = (settings.fwp, &freq) {
             next_fmap_mask = freq.fmap_mask(fwp)?;
         }
 
@@ -231,7 +262,7 @@ where
             retained_mass: mass,
         };
         let layer_output = LayerOutput { probs, offsets, locations, value, output };
-        observe(k, &layer_output, &info);
+        observe(k, &layer_output, &info, stage4);
         blocks.push(info);
 
         // Residual + normalization into the next block, re-quantized if the

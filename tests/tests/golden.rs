@@ -8,10 +8,11 @@
 //! against a softmax over the C library's `expf` followed by the PAP mask.
 
 use defa_arch::{
-    BankMapping, BankedSram, Dram, EventCounters, PeArray, BA_CHANNELS_PER_BEAT, N_BANKS,
-    PRECISION_BITS,
+    ArchError, BankMapping, BankedSram, Dram, EventCounters, PeArray, BA_CHANNELS_PER_BEAT,
+    N_BANKS, PRECISION_BITS,
 };
-use defa_core::{MsgsEngine, MsgsSettings, MsgsStats};
+use defa_core::dataflow::{simulate_block, BlockPruning};
+use defa_core::{CoreError, DefaAccelerator, MsgsEngine, MsgsSettings, MsgsStats, StageCycles};
 use defa_model::bilinear::Footprint;
 use defa_model::decoder::{DecoderConfig, DecoderWorkload};
 use defa_model::encoder::run_encoder;
@@ -370,6 +371,41 @@ fn same_bits(got: &[f32], want: &[f32]) -> bool {
         && got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan())
 }
 
+/// `locs` with every third location moved onto or beyond an edge of its
+/// level, per axis: −1, −0.5, ±0, w−1, w−0.5, w, ±2²³, ±2³¹, ±∞, NaN or
+/// 0.25 (with w the level's extent on that axis).
+fn edge_locations(cfg: &MsdaConfig, locs: &[SamplePoint]) -> Vec<SamplePoint> {
+    let edges = |e: f32| {
+        [
+            -1.0,
+            -0.5,
+            -0.0,
+            0.0,
+            e - 1.0,
+            e - 0.5,
+            e,
+            8_388_608.0,
+            -8_388_608.0,
+            2_147_483_648.0,
+            -2_147_483_648.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            0.25,
+        ]
+    };
+    let mut out = locs.to_vec();
+    let mut h = 23u64;
+    for pt in out.iter_mut().step_by(3) {
+        h = splitmix64(h);
+        let shape = cfg.levels[pt.level as usize];
+        let (xs, ys) = (edges(shape.w as f32), edges(shape.h as f32));
+        pt.x = xs[h as usize % xs.len()];
+        pt.y = ys[(h >> 32) as usize % ys.len()];
+    }
+    out
+}
+
 /// The lane-parallel aggregation kernel equals the per-point loop bit for
 /// bit: on real layers of every benchmark at two scales, and at a shape
 /// with a head dimension that is not a multiple of 8 (a scalar channel
@@ -426,39 +462,10 @@ fn lane_parallel_aggregation_equals_per_point_loop() {
             check(layer, &dec_probs, &locs[..nq * ppq], &value, None, "decoder-shaped");
 
             // Edge and non-finite locations, with some probabilities zero.
+            let edge_locs = edge_locations(&cfg, &locs);
             let mut edge_probs = probs.clone();
-            let mut edge_locs = locs.clone();
-            let edges = |e: f32| {
-                [
-                    -1.0,
-                    -0.5,
-                    -0.0,
-                    0.0,
-                    e - 1.0,
-                    e - 0.5,
-                    e,
-                    8_388_608.0,
-                    -8_388_608.0,
-                    2_147_483_648.0,
-                    -2_147_483_648.0,
-                    f32::INFINITY,
-                    f32::NEG_INFINITY,
-                    f32::NAN,
-                    0.25,
-                ]
-            };
-            let mut h = 23u64;
-            for (s, (pt, p)) in
-                edge_locs.iter_mut().zip(edge_probs.as_mut_slice()).enumerate().step_by(3)
-            {
-                h = splitmix64(h);
-                let shape = cfg.levels[pt.level as usize];
-                let (xs, ys) = (edges(shape.w as f32), edges(shape.h as f32));
-                pt.x = xs[h as usize % xs.len()];
-                pt.y = ys[(h >> 32) as usize % ys.len()];
-                if s % 5 == 0 {
-                    *p = 0.0;
-                }
+            for p in edge_probs.as_mut_slice().iter_mut().step_by(15) {
+                *p = 0.0;
             }
             for (name, mask) in &masks {
                 let what = format!("{bench} {cfg:?}, edges, {name}");
@@ -481,6 +488,11 @@ fn lane_parallel_aggregation_equals_per_point_loop() {
     }
 }
 
+/// FWP's walk-based `record_all` counts exactly what the per-point
+/// `record` counts over the kept points: on real locations and on edge and
+/// non-finite ones with a kept slot naming a missing level (ignored by
+/// both), for lengths that are not a whole number of queries, at 1 and 4
+/// threads.
 #[test]
 fn masked_record_all_equals_record_over_kept_points() {
     let cfg = MsdaConfig::small();
@@ -488,17 +500,26 @@ fn masked_record_all_equals_record_over_kept_points() {
     let layer = wl.layer(0).unwrap();
     let locs =
         generate_locations(&cfg, layer.references(), &offsets(&wl), Some(wl.warp())).unwrap();
-    // Mask lengths that are not a multiple of 64 exercise the tail word.
-    for (len, keep_percent) in [(locs.len(), 20), (locs.len() - 37, 50), (61, 80), (0, 50)] {
-        let pts = &locs[..len];
-        let mask = random_mask(len, keep_percent, len as u64);
-        let mut expect = SampleFrequency::new(&cfg).unwrap();
-        for (pt, _) in pts.iter().zip(&mask).filter(|(_, k)| **k) {
-            expect.record(&cfg, *pt);
+    let mut edges = edge_locations(&cfg, &locs);
+    edges[7].level = cfg.n_levels() as u8;
+    for (name, locs) in [("real", &locs), ("edges", &edges)] {
+        // Mask lengths that are not a multiple of 64 exercise the tail word.
+        for (len, keep_percent) in [(locs.len(), 20), (locs.len() - 37, 50), (61, 80), (0, 50)] {
+            let pts = &locs[..len];
+            let mut mask = random_mask(len, keep_percent, len as u64);
+            if let Some(k) = mask.get_mut(7) {
+                *k = true;
+            }
+            let mut expect = SampleFrequency::new(&cfg).unwrap();
+            for (pt, _) in pts.iter().zip(&mask).filter(|(_, k)| **k) {
+                expect.record(&cfg, *pt);
+            }
+            for threads in [1, 4] {
+                let mut got = SampleFrequency::new(&cfg).unwrap();
+                with_num_threads(threads, || got.record_all(&cfg, pts, Some(&mask))).unwrap();
+                assert_eq!(got, expect, "{name}, {len} points, {threads} threads");
+            }
         }
-        let mut got = SampleFrequency::new(&cfg).unwrap();
-        got.record_all(&cfg, pts, Some(&mask)).unwrap();
-        assert_eq!(got, expect, "{len} points");
     }
 }
 
@@ -673,11 +694,19 @@ fn msgs_engine_equals_per_group_reference() {
         // the same block with PAP off, where every slot is located.
         let (locs, _, _) =
             last_block(&PruneSettings { pap: None, ..PruneSettings::paper_defaults() });
+        // Edge and non-finite anchors (±2³¹ and ±∞ saturate the anchor's
+        // integer cast), and a kept slot naming a missing level.
+        let edges = edge_locations(&cfg, &locs);
+        let mut missing = edges.clone();
+        missing[5].level = cfg.n_levels() as u8;
         let masks = [
             ("all", &locs, vec![true; locs.len()]),
             ("none", &locs, vec![false; locs.len()]),
             ("pap", &pruned_locs, pap),
             ("random", &locs, random_mask(locs.len(), 19, 7)),
+            ("edges, all", &edges, vec![true; locs.len()]),
+            ("edges, random", &edges, random_mask(locs.len(), 19, 7)),
+            ("missing level", &missing, vec![true; locs.len()]),
         ];
         for mapping in [BankMapping::InterLevel, BankMapping::IntraLevel] {
             for fused in [true, false] {
@@ -685,14 +714,29 @@ fn msgs_engine_equals_per_group_reference() {
                     let settings = MsgsSettings { mapping, fused, fmap_reuse };
                     let engine = MsgsEngine::new(&cfg, settings).unwrap();
                     for (label, locs, keep) in &masks {
-                        let expect = reference_msgs_block(&cfg, settings, locs, keep, pixel_keep);
+                        // Inter-level mapping has bank groups for 4 levels.
+                        let no_banks = mapping == BankMapping::InterLevel
+                            && locs.iter().any(|pt| pt.level >= 4);
+                        let expect = (!no_banks)
+                            .then(|| reference_msgs_block(&cfg, settings, locs, keep, pixel_keep));
                         for threads in [1, 4] {
                             let mut counters = EventCounters::new();
-                            let stats = with_num_threads(threads, || {
-                                engine.run_block(locs, keep, pixel_keep, &mut counters).unwrap()
+                            let got = with_num_threads(threads, || {
+                                engine.run_block(locs, keep, pixel_keep, &mut counters)
                             });
                             let at = format!("{settings:?} {label} mask, {threads} threads");
-                            assert_eq!((stats, counters), expect, "{at}");
+                            match &expect {
+                                Some(expect) => {
+                                    assert_eq!((got.unwrap(), counters), *expect, "{at}")
+                                }
+                                None => assert!(
+                                    matches!(
+                                        got,
+                                        Err(CoreError::Arch(ArchError::OutOfRange { .. }))
+                                    ),
+                                    "{at}: {got:?}"
+                                ),
+                            }
                         }
                     }
                 }
@@ -701,42 +745,106 @@ fn msgs_engine_equals_per_group_reference() {
     }
 }
 
+/// Stage 4 as the pruned pipeline runs it — one walk feeding the
+/// aggregation, FWP counting and the MSGS engine — equals the three
+/// standalone calls: `sample_and_aggregate` bit for bit, `record` over the
+/// kept points, and the per-group engine reference; on all, none, PAP and
+/// random masks, both bank mappings, at 1 and 4 threads, including a
+/// shape whose heads span two keep words and three passes. The
+/// accelerator's run, which prices each block from that walk, equals
+/// replaying every block through `simulate_block`.
 #[test]
-fn footprint_anchor_is_the_top_left_neighbor() {
-    let edges = [
-        0.0f32,
-        -0.0,
-        0.5,
-        -0.5,
-        -1.0,
-        -1.5,
-        8_388_607.5,
-        -8_388_607.5,
-        8_388_608.0,
-        -8_388_608.0,
-        -8_388_609.0,
-        3e9,
-        -3e9,
-        f32::MAX,
-        f32::MIN,
-        f32::INFINITY,
-        f32::NEG_INFINITY,
-        f32::NAN,
-    ];
-    let mut state = 0xA7C4_0B5Eu64;
-    let mut random = || {
-        state = splitmix64(state);
-        f32::from_bits(state as u32)
-    };
-    let pairs: Vec<(f32, f32)> = edges
-        .iter()
-        .flat_map(|&x| edges.iter().map(move |&y| (x, y)))
-        .chain((0..20_000).map(|_| (random(), random())))
-        .chain((-300..300).map(|i| (i as f32 / 16.0, -(i as f32) / 7.0)))
-        .collect();
-    for (x, y) in pairs {
-        let n0 = Footprint::at(x, y).neighbors[0];
-        assert_eq!(Footprint::anchor(x, y), (n0.x, n0.y), "anchor({x:e}, {y:e})");
+fn fused_stage4_equals_standalone_calls() {
+    let wide = MsdaConfig { n_points: 40, ..MsdaConfig::tiny() };
+    for cfg in [MsdaConfig::tiny(), MsdaConfig::small(), wide] {
+        let wl = SyntheticWorkload::generate(Benchmark::DeformableDetr, &cfg, 12).unwrap();
+        let last_block = |settings: &PruneSettings| {
+            let mut block = None;
+            run_pruned_encoder_observed_from(&wl, settings, wl.initial_fmap(), |k, out, info| {
+                block = Some((k, out.clone(), info.point_mask.as_bools().to_vec()));
+            })
+            .unwrap();
+            block.unwrap()
+        };
+        let (k, pruned, pap) = last_block(&PruneSettings::paper_defaults());
+        let (_, dense, _) =
+            last_block(&PruneSettings { pap: None, ..PruneSettings::paper_defaults() });
+        let layer = &wl.quantized_layers(12).unwrap()[k];
+        let len = dense.locations.len();
+        let masks = [
+            ("all", &dense, vec![true; len]),
+            ("none", &dense, vec![false; len]),
+            ("pap", &pruned, pap),
+            ("random", &dense, random_mask(len, 19, 3)),
+        ];
+        for mapping in [BankMapping::InterLevel, BankMapping::IntraLevel] {
+            let settings = MsgsSettings { mapping, ..MsgsSettings::paper_default() };
+            let engine = MsgsEngine::new(&cfg, settings).unwrap();
+            for (label, out, keep) in &masks {
+                let (probs, locs, value) = (&out.probs, &out.locations, &out.value);
+                let want_out = layer.sample_and_aggregate(probs, locs, value, Some(keep)).unwrap();
+                let mut want_freq = SampleFrequency::new(&cfg).unwrap();
+                for (pt, _) in locs.iter().zip(keep.iter()).filter(|(_, k)| **k) {
+                    want_freq.record(&cfg, *pt);
+                }
+                let want_msgs = reference_msgs_block(&cfg, settings, locs, keep, 0.5);
+                for threads in [1, 4] {
+                    let mut freq = SampleFrequency::new(&cfg).unwrap();
+                    let mut sampler = engine.sampler();
+                    let mut counters = EventCounters::new();
+                    let (got_out, stats) = with_num_threads(threads, || {
+                        let got = layer
+                            .sample_and_aggregate_visited(
+                                probs,
+                                locs,
+                                value,
+                                Some(keep),
+                                &mut (Some(&mut freq), &mut sampler),
+                            )
+                            .unwrap();
+                        (got, sampler.settle(cfg.n_in(), keep, 0.5, &mut counters).unwrap())
+                    });
+                    let at =
+                        format!("{:?} {mapping:?} {label} mask, {threads} threads", cfg.levels);
+                    assert!(same_bits(got_out.as_slice(), want_out.as_slice()), "{at}");
+                    assert_eq!(freq, want_freq, "{at}");
+                    assert_eq!((stats, counters), want_msgs, "{at}");
+                }
+            }
+        }
+        let accel = DefaAccelerator { measure_fidelity: false, ..DefaAccelerator::paper_default() };
+        let prune = PruneSettings::paper_defaults();
+        let fused = accel.run_workload(&wl, &prune).unwrap();
+        let engine = MsgsEngine::new(&cfg, accel.msgs).unwrap();
+        let mut counters = EventCounters::new();
+        let mut stages = StageCycles::default();
+        let mut msgs = MsgsStats::default();
+        run_pruned_encoder_observed_from(&wl, &prune, wl.initial_fmap(), |_, out, info| {
+            let pruning = BlockPruning {
+                point_keep: info.point_mask.keep_fraction(),
+                pixel_keep: info.fmap_mask.keep_fraction(),
+            };
+            let keep = info.point_mask.as_bools();
+            let (s, st) = simulate_block(
+                &cfg,
+                &engine,
+                &accel.pe,
+                &out.locations,
+                keep,
+                pruning,
+                &mut counters,
+            )
+            .unwrap();
+            stages += st;
+            msgs.groups += s.groups;
+            msgs.points += s.points;
+            msgs.cycles += s.cycles;
+            msgs.conflicts += s.conflicts;
+            msgs.fmap_fetch_bits += s.fmap_fetch_bits;
+            msgs.spill_bits += s.spill_bits;
+        })
+        .unwrap();
+        assert_eq!((fused.counters, fused.msgs, fused.stages), (counters, msgs, stages));
     }
 }
 
