@@ -484,6 +484,7 @@ impl MsdaLayer {
                 last: (range.start * cfg.n_heads, 0),
                 out,
                 taps: [(0, 0.0); 4 * LANES],
+                tap_ends: [0; LANES],
             };
             parts.push((agg, extra));
         }
@@ -859,22 +860,22 @@ impl KeptLanes {
         }
     }
 
-    /// Writes the aggregation taps of `lanes`, in slot order and `N0..N3`
-    /// within a slot, and returns how many there are.
-    fn taps(&self, lanes: Range<usize>, taps: &mut [(u32, f32); 4 * LANES]) -> usize {
-        let token: [&[u32]; 4] =
-            std::array::from_fn(|k| &self.token[k].as_flattened()[lanes.clone()]);
-        let ww: [&[f32]; 4] = std::array::from_fn(|k| &self.ww[k].as_flattened()[lanes.clone()]);
-        let live: [&[u32]; 4] =
-            std::array::from_fn(|k| &self.live[k].as_flattened()[lanes.clone()]);
+    /// Writes the pass's aggregation taps, in slot order and `N0..N3`
+    /// within a slot, and after each lane `i` the number written so far to
+    /// `ends[i]`.
+    fn taps(&self, taps: &mut [(u32, f32); 4 * LANES], ends: &mut [usize; LANES]) {
+        let n = self.len;
+        let token: [&[u32]; 4] = std::array::from_fn(|k| &self.token[k].as_flattened()[..n]);
+        let ww: [&[f32]; 4] = std::array::from_fn(|k| &self.ww[k].as_flattened()[..n]);
+        let live: [&[u32]; 4] = std::array::from_fn(|k| &self.live[k].as_flattened()[..n]);
         let mut nt = 0;
-        for i in 0..lanes.len() {
+        for (i, end) in ends.iter_mut().enumerate().take(n) {
             for k in 0..4 {
                 taps[nt] = (token[k][i], ww[k][i]);
                 nt += live[k][i] as usize;
             }
+            *end = nt;
         }
-        nt
     }
 }
 
@@ -1035,8 +1036,10 @@ struct AggPart<'a> {
     /// The last slice summed and its head.
     last: (usize, usize),
     out: &'a mut [f32],
-    /// The tap list: value token and weight.
+    /// The tap list, value token and weight, and where each lane's taps
+    /// end in it.
     taps: [(u32, f32); 4 * LANES],
+    tap_ends: [usize; LANES],
 }
 
 impl LaneVisitor for AggPart<'_> {
@@ -1044,8 +1047,10 @@ impl LaneVisitor for AggPart<'_> {
     /// two passes continues its sums in slot order.
     #[inline(always)]
     fn visit(&mut self, lanes: &KeptLanes) {
+        lanes.taps(&mut self.taps, &mut self.tap_ends);
         for (slice, run) in lanes.runs() {
-            let nt = lanes.taps(run, &mut self.taps);
+            let t0 = run.start.checked_sub(1).map_or(0, |i| self.tap_ends[i]);
+            let taps = &self.taps[t0..self.tap_ends[run.end - 1]];
             // Slices only move forward; the head wraps once per query.
             let (last, head) = self.last;
             let mut head = head + (slice - last);
@@ -1056,7 +1061,7 @@ impl LaneVisitor for AggPart<'_> {
             let row = (slice - self.slice0) * self.dh;
             let chan0 = head * self.dh;
             let out = &mut self.out[row..row + self.dh];
-            accumulate(self.value, self.d, chan0, &self.taps[..nt], out);
+            accumulate(self.value, self.d, chan0, taps, out);
         }
     }
 }
