@@ -700,10 +700,11 @@ struct LevelGeom {
 /// [`runs`](Self::runs) say which lanes belong to which slice.
 ///
 /// The walk gathers the slots into the lanes and computes, a whole block
-/// of 8 lanes at a time, the in-bounds tests as `f32` compares on the
+/// of 8 lanes at a time and only as far as its visitors read them, the
 /// floored coordinates (reading NaN as 0, as the reference's saturating
-/// cast does), the four neighbours' tokens and — when the aggregation
-/// reads them — the bilinear weights with
+/// cast does) and their residues modulo 4, the in-bounds tests as `f32`
+/// compares on them, the four neighbours' tokens and — when aggregating —
+/// the bilinear weights with
 /// [`Footprint::at`](crate::bilinear::Footprint::at)'s exact `f32`
 /// expressions. All of it is float adds, compares and selects, so it
 /// vectorizes; a float-to-int `as` cast would not.
