@@ -11,6 +11,7 @@ use defa_model::workload::{Benchmark, SyntheticWorkload};
 use defa_model::MsdaConfig;
 use defa_prune::fwp::SampleFrequency;
 use defa_prune::pipeline::{run_pruned_encoder_observed_from, PruneSettings};
+use defa_tensor::Tensor;
 use std::hint::black_box;
 
 fn bench_msgs(c: &mut Criterion) {
@@ -81,16 +82,20 @@ fn bench_msgs(c: &mut Criterion) {
             b.iter(|| {
                 let mut freq = SampleFrequency::new(&cfg).unwrap();
                 let mut sampler = engine.sampler();
-                let output = layer.sample_and_aggregate_visited(
-                    black_box(probs),
-                    locations,
-                    value,
-                    Some(keep),
-                    &mut (&mut freq, &mut sampler),
-                );
+                let mut output = Tensor::zeros([0]);
+                layer
+                    .sample_and_aggregate_into(
+                        black_box(probs),
+                        locations,
+                        value,
+                        Some(keep),
+                        &mut (&mut freq, &mut sampler),
+                        &mut output,
+                    )
+                    .unwrap();
                 let mut counters = EventCounters::new();
                 let stats = sampler.settle(cfg.n_in(), keep, pixel_keep, &mut counters);
-                (output.unwrap(), freq, stats.unwrap())
+                (output, freq, stats.unwrap())
             })
         })
     });

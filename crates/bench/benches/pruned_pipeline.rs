@@ -1,12 +1,13 @@
 //! Criterion: pruned encoder pipeline vs exact encoder.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use defa_model::encoder::run_encoder;
-use defa_model::reference::{generate_kept_locations, generate_locations};
-use defa_model::workload::{Benchmark, SyntheticWorkload};
+use defa_core::runner::DefaAccelerator;
+use defa_model::encoder::{run_encoder, run_encoder_observed_from};
+use defa_model::reference::{generate_kept_locations, generate_locations, recycle_layer_buffers};
+use defa_model::workload::{Benchmark, RequestGenerator, SyntheticWorkload};
 use defa_model::MsdaConfig;
 use defa_prune::pap::{point_mask, PapConfig};
-use defa_prune::pipeline::{run_pruned_encoder, PruneSettings};
+use defa_prune::pipeline::{run_pruned_encoder, run_pruned_encoder_from, PruneSettings};
 use defa_prune::range::{clamp_locations, RangeConfig};
 use defa_tensor::matmul::matmul;
 use defa_tensor::QuantParams;
@@ -87,5 +88,55 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pipeline);
+/// Consecutive *different* standard-generator requests (all three
+/// scenarios, so the layer buffers change size between requests) through
+/// the served entry points on one thread, as a pool worker runs them:
+/// `fresh` allocates every request's layer buffers anew, `recycled` runs
+/// inside one `recycle_layer_buffers` scope, as the serving runtime runs
+/// a batch.
+fn bench_served(c: &mut Criterion) {
+    let gen = RequestGenerator::standard(&MsdaConfig::small(), 42).unwrap();
+    let reqs: Vec<_> = (0..12).map(|id| gen.request(id)).collect();
+    let settings = PruneSettings::paper_defaults();
+    let accel = DefaAccelerator { measure_fidelity: false, ..DefaAccelerator::paper_default() };
+    let entries: [(&str, &dyn Fn(usize) -> defa_tensor::Tensor); 3] = [
+        ("dense", &|i| {
+            let wl = gen.scenario(reqs[i].scenario).unwrap();
+            run_encoder_observed_from(wl, &reqs[i].fmap, |_, _| {}).unwrap()
+        }),
+        ("pruned", &|i| {
+            let wl = gen.scenario(reqs[i].scenario).unwrap();
+            run_pruned_encoder_from(wl, &settings, &reqs[i].fmap).unwrap().final_features
+        }),
+        ("accel", &|i| {
+            let wl = gen.scenario(reqs[i].scenario).unwrap();
+            accel.run_workload_from(wl, &reqs[i].fmap, &settings).unwrap().final_features
+        }),
+    ];
+    let mut group = c.benchmark_group("served_small");
+    for (name, run) in entries {
+        for recycled in [false, true] {
+            let label = format!("{name}_{}", if recycled { "recycled" } else { "fresh" });
+            group.bench_function(&label, |b| {
+                defa_parallel::with_num_threads(1, || {
+                    let mut next = 0;
+                    let mut serve = || {
+                        b.iter(|| {
+                            next = (next + 1) % reqs.len();
+                            run(black_box(next))
+                        })
+                    };
+                    if recycled {
+                        recycle_layer_buffers(serve);
+                    } else {
+                        serve();
+                    }
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_pipeline, bench_served);
 criterion_main!(benches);

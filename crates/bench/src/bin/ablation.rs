@@ -4,7 +4,7 @@
 use defa_bench::table::{pct, print_table};
 use defa_bench::RunOptions;
 use defa_model::detection::estimate_ap;
-use defa_model::encoder::run_encoder;
+use defa_model::encoder::run_encoder_observed_from;
 use defa_model::workload::{Benchmark, SyntheticWorkload};
 use defa_prune::pipeline::{run_pruned_encoder, PruneSettings};
 use defa_prune::{FwpConfig, PapConfig, RangeConfig};
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let nb = benches.len();
     let exacts = defa_parallel::par_map_collect(nb, |b| {
         let wl = SyntheticWorkload::generate(benches[b], &cfg, opts.seed)?;
-        let exact = run_encoder(&wl)?;
+        let exact = run_encoder_observed_from(&wl, wl.initial_fmap(), |_, _| {})?;
         Ok::<_, Box<dyn std::error::Error + Send + Sync>>((wl, exact))
     })
     .into_iter()
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (_, settings, _) = &variants[idx / nb];
         let (wl, exact) = &exacts[idx % nb];
         let pruned = run_pruned_encoder(wl, settings)?;
-        let est = estimate_ap(benches[idx % nb], &exact.final_features, &pruned.final_features)?;
+        let est = estimate_ap(benches[idx % nb], exact, &pruned.final_features)?;
         Ok::<(f64, f64), Box<dyn std::error::Error + Send + Sync>>((
             est.fidelity_error as f64,
             est.drop() as f64,

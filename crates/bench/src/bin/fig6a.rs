@@ -9,7 +9,7 @@ use defa_baseline::faster_rcnn::FASTER_RCNN_AP;
 use defa_bench::table::print_table;
 use defa_bench::RunOptions;
 use defa_model::detection::estimate_ap;
-use defa_model::encoder::run_encoder;
+use defa_model::encoder::run_encoder_observed_from;
 use defa_model::workload::{Benchmark, SyntheticWorkload};
 use defa_prune::pipeline::{run_pruned_encoder, PruneSettings};
 
@@ -21,9 +21,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rows = Vec::new();
     for bench in Benchmark::all() {
         let wl = SyntheticWorkload::generate(bench, &cfg, opts.seed)?;
-        let exact = run_encoder(&wl)?;
+        let exact = run_encoder_observed_from(&wl, wl.initial_fmap(), |_, _| {})?;
         let pruned = run_pruned_encoder(&wl, &PruneSettings::paper_defaults())?;
-        let est = estimate_ap(bench, &exact.final_features, &pruned.final_features)?;
+        let est = estimate_ap(bench, &exact, &pruned.final_features)?;
         rows.push(vec![
             bench.name().to_string(),
             format!("{:.1}", est.baseline_ap),

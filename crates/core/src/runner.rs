@@ -8,7 +8,7 @@ use crate::CoreError;
 use defa_arch::area::SramInventory;
 use defa_arch::maskgen::FREQ_COUNTER_BITS;
 use defa_arch::{AreaModel, EnergyModel, EventCounters, PeArray, CLOCK_HZ, PRECISION_BITS};
-use defa_model::encoder::run_encoder_from;
+use defa_model::encoder::run_encoder_observed_from;
 use defa_model::flops::BlockFlops;
 use defa_model::workload::SyntheticWorkload;
 use defa_model::MsdaConfig;
@@ -166,10 +166,10 @@ impl DefaAccelerator {
         }
 
         let fidelity_error = if self.measure_fidelity {
-            let exact = run_encoder_from(wl, initial)?;
+            let exact = run_encoder_observed_from(wl, initial, |_, _| {})?;
             Some(
                 run.final_features
-                    .relative_l2_error(&exact.final_features)
+                    .relative_l2_error(&exact)
                     .map_err(defa_model::ModelError::from)?,
             )
         } else {
@@ -426,13 +426,12 @@ mod tests {
     #[test]
     fn decoder_report_is_pinned() {
         use defa_model::decoder::{DecoderConfig, DecoderWorkload};
-        use defa_model::encoder::run_encoder;
+        use defa_model::encoder::run_encoder_observed_from;
         let cfg = MsdaConfig::small();
         let bench = Benchmark::DeformableDetr;
         let enc = SyntheticWorkload::generate(bench, &cfg, 42).unwrap();
-        let memory =
-            defa_model::FmapPyramid::from_tensor(&cfg, run_encoder(&enc).unwrap().final_features)
-                .unwrap();
+        let memory = run_encoder_observed_from(&enc, enc.initial_fmap(), |_, _| {}).unwrap();
+        let memory = defa_model::FmapPyramid::from_tensor(&cfg, memory).unwrap();
         let shape = DecoderConfig { n_queries: 50, n_layers: 2 };
         let dec = DecoderWorkload::generate(bench, &cfg, shape, 42).unwrap();
         let accel = DefaAccelerator { measure_fidelity: false, ..DefaAccelerator::paper_default() };

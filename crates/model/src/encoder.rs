@@ -5,8 +5,15 @@
 //! residual connection and normalization) becomes the feature map of block
 //! *k+1*. This inter-block data dependence is what lets FWP use block *k*'s
 //! sampling frequencies to prune block *k+1*'s pixels.
+//!
+//! [`run_encoder_observed_from`] is the streaming entry: it hands each
+//! block's intermediates to an observer and refills one set of buffers
+//! block after block, so serving and every caller that reads only the
+//! final features use it.
+//! [`run_encoder`] and [`run_encoder_from`] collect every block into an
+//! [`EncoderTrace`] for the callers that inspect the blocks.
 
-use crate::reference::LayerOutput;
+use crate::reference::{with_layer_buffers, LayerOutput};
 use crate::workload::SyntheticWorkload;
 use crate::{FmapPyramid, ModelError};
 use defa_tensor::Tensor;
@@ -54,12 +61,14 @@ pub fn run_encoder(wl: &SyntheticWorkload) -> Result<EncoderTrace, ModelError> {
     run_encoder_from(wl, wl.initial_fmap())
 }
 
-/// [`run_encoder`] over a caller-provided initial feature pyramid.
+/// [`run_encoder`] over a caller-provided initial feature pyramid,
+/// collecting every block's intermediates into an [`EncoderTrace`].
 ///
 /// The workload contributes weights, reference points and the saliency
-/// warp; `initial` replaces the workload's own backbone features. This is
-/// the serving entry point: one workload (scenario) handles many requests,
-/// each with its own input pyramid.
+/// warp; `initial` replaces the workload's own backbone features: one
+/// workload (scenario) handles many requests, each with its own input
+/// pyramid. Callers that read only the final features use
+/// [`run_encoder_observed_from`], which keeps no block alive.
 ///
 /// # Errors
 ///
@@ -69,17 +78,59 @@ pub fn run_encoder_from(
     wl: &SyntheticWorkload,
     initial: &FmapPyramid,
 ) -> Result<EncoderTrace, ModelError> {
-    let cfg = wl.config();
-    let mut x = initial.clone();
-    let mut blocks: Vec<LayerOutput> = Vec::with_capacity(cfg.n_layers);
-    for k in 0..cfg.n_layers {
-        let out = wl.layer(k)?.forward(&x, Some(wl.warp()))?;
-        let next = block_update(x.tensor(), &out.output)?;
-        x = FmapPyramid::from_tensor(cfg, next)?;
-        blocks.push(out);
-    }
-    let final_features = x.into_tensor();
+    let mut blocks: Vec<LayerOutput> = Vec::with_capacity(wl.config().n_layers);
+    // Each block moves its buffers into the trace and the next block
+    // allocates its own, so the trace holds each block exactly once.
+    let final_features = run_blocks(wl, initial, &mut LayerOutput::empty(), |_, out| {
+        blocks.push(std::mem::replace(out, LayerOutput::empty()));
+    })?;
     Ok(EncoderTrace { blocks, final_features })
+}
+
+/// The streaming exact encoder — the serving entry point. Runs every
+/// block over `initial`, invoking `observe(block_index, layer_output)`
+/// after each, and returns the final features.
+///
+/// Every block refills one set of layer buffers ([`with_layer_buffers`])
+/// once the residual update has read the block before, so a request holds
+/// one block's intermediates at a time; inside a
+/// [`recycle_layer_buffers`](crate::reference::recycle_layer_buffers)
+/// scope, later requests on the thread refill the same buffers. Block 0
+/// reads `initial` in place. The features are bit for bit
+/// [`run_encoder_from`]'s.
+///
+/// # Errors
+///
+/// As [`run_encoder_from`].
+pub fn run_encoder_observed_from<F>(
+    wl: &SyntheticWorkload,
+    initial: &FmapPyramid,
+    mut observe: F,
+) -> Result<Tensor, ModelError>
+where
+    F: FnMut(usize, &LayerOutput),
+{
+    with_layer_buffers(|out| run_blocks(wl, initial, out, |k, out| observe(k, out)))
+}
+
+/// Runs every block into `out`, handing it to `observe` after each
+/// block's residual update, and returns the final features.
+fn run_blocks(
+    wl: &SyntheticWorkload,
+    initial: &FmapPyramid,
+    out: &mut LayerOutput,
+    mut observe: impl FnMut(usize, &mut LayerOutput),
+) -> Result<Tensor, ModelError> {
+    let cfg = wl.config();
+    let mut x: Option<FmapPyramid> = None;
+    for k in 0..cfg.n_layers {
+        let cur = x.as_ref().unwrap_or(initial);
+        wl.layer(k)?.forward_into(cur, Some(wl.warp()), out)?;
+        let next = block_update(cur.tensor(), &out.output)?;
+        observe(k, out);
+        x = Some(FmapPyramid::from_tensor(cfg, next)?);
+    }
+    Ok(x.map_or_else(|| initial.tensor().clone(), FmapPyramid::into_tensor))
 }
 
 #[cfg(test)]

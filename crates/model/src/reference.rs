@@ -7,9 +7,11 @@ use crate::sampling::{
 };
 use crate::workload::SaliencyWarp;
 use crate::{FmapPyramid, ModelError, MsdaConfig};
-use defa_tensor::matmul::matmul;
+use defa_tensor::matmul::matmul_into;
+use defa_tensor::scratch::with_thread_scratch;
 use defa_tensor::softmax::{softmax_heads, softmax_heads_thresholded, Thresholded};
 use defa_tensor::Tensor;
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -41,19 +43,34 @@ pub fn generate_locations(
     offsets: &Tensor,
     warp: Option<&SaliencyWarp>,
 ) -> Result<Vec<SamplePoint>, ModelError> {
+    let mut locations = Vec::new();
+    generate_locations_into(cfg, references, offsets, warp, &mut locations)?;
+    Ok(locations)
+}
+
+/// [`generate_locations`] into a caller-provided table, resized to
+/// `n · points_per_query` reusing its allocation; every slot is
+/// overwritten.
+fn generate_locations_into(
+    cfg: &MsdaConfig,
+    references: &[RefPoint],
+    offsets: &Tensor,
+    warp: Option<&SaliencyWarp>,
+    locations: &mut Vec<SamplePoint>,
+) -> Result<(), ModelError> {
     check_location_inputs(cfg, references, offsets, warp)?;
     let n = references.len();
     let ppq = cfg.points_per_query();
     let table = warp.map(SaliencyWarp::table);
     let odata = offsets.as_slice();
-    let mut locations = vec![SamplePoint::new(0, 0.0, 0.0); n * ppq];
-    defa_parallel::par_chunks_mut_if(n * ppq >= PAR_MIN_ELEMS, &mut locations, ppq, |i, pts| {
+    locations.resize(n * ppq, SamplePoint::new(0, 0.0, 0.0));
+    defa_parallel::par_chunks_mut_if(n * ppq >= PAR_MIN_ELEMS, locations, ppq, |i, pts| {
         query_sample_points_into(cfg, references[i], &odata[i * 2 * ppq..(i + 1) * 2 * ppq], pts);
         if let Some(t) = table {
             t.overwrite(i, pts);
         }
     });
-    Ok(locations)
+    Ok(())
 }
 
 /// Stage 2 of the pruned dataflow on kept slots only: one pass per query
@@ -83,6 +100,36 @@ pub fn generate_kept_locations(
     keep: &[bool],
     half_extents: Option<&[[u32; 2]]>,
 ) -> Result<(Vec<SamplePoint>, u64), ModelError> {
+    let mut locations = Vec::new();
+    let moved = generate_kept_locations_into(
+        cfg,
+        references,
+        offsets,
+        warp,
+        keep,
+        half_extents,
+        &mut locations,
+    )?;
+    Ok((locations, moved))
+}
+
+/// [`generate_kept_locations`] into a caller-provided table, resized to
+/// `n · points_per_query` reusing its allocation; returns the number of
+/// kept points the clamp moved. Every pruned slot is reset to
+/// `SamplePoint::new(0, 0.0, 0.0)`, whatever the table held before.
+///
+/// # Errors
+///
+/// As [`generate_kept_locations`].
+pub fn generate_kept_locations_into(
+    cfg: &MsdaConfig,
+    references: &[RefPoint],
+    offsets: &Tensor,
+    warp: Option<&SaliencyWarp>,
+    keep: &[bool],
+    half_extents: Option<&[[u32; 2]]>,
+    locations: &mut Vec<SamplePoint>,
+) -> Result<u64, ModelError> {
     cfg.validate()?;
     check_location_inputs(cfg, references, offsets, warp)?;
     let n = references.len();
@@ -108,8 +155,9 @@ pub fn generate_kept_locations(
     let slot_level: Vec<u8> =
         (0..ppq).map(|s| ((s / cfg.n_points) % cfg.n_levels()) as u8).collect();
     let moved = AtomicU64::new(0);
-    let mut locations = vec![SamplePoint::new(0, 0.0, 0.0); n * ppq];
-    defa_parallel::par_chunks_mut_if(n * ppq >= PAR_MIN_ELEMS, &mut locations, ppq, |i, pts| {
+    locations.resize(n * ppq, SamplePoint::new(0, 0.0, 0.0));
+    defa_parallel::par_chunks_mut_if(n * ppq >= PAR_MIN_ELEMS, locations, ppq, |i, pts| {
+        pts.fill(SamplePoint::new(0, 0.0, 0.0));
         // Per level: center, then the clamp window [x0, x1, y0, y1].
         let mut geo = [[0f32; 6]; MAX_LEVELS];
         for (l, (g, &shape)) in geo.iter_mut().zip(&cfg.levels).enumerate() {
@@ -139,7 +187,7 @@ pub fn generate_kept_locations(
         // suffices; integer sums commute, so it is the same for any split.
         moved.fetch_add(count, Ordering::Relaxed);
     });
-    Ok((locations, moved.into_inner()))
+    Ok(moved.into_inner())
 }
 
 /// Shape checks shared by the location generators.
@@ -241,6 +289,65 @@ pub struct LayerOutput {
     pub output: Tensor,
 }
 
+impl LayerOutput {
+    /// Empty buffers, for the `_into` evaluations to size and fill.
+    pub(crate) fn empty() -> Self {
+        LayerOutput {
+            probs: Tensor::zeros([0]),
+            offsets: Tensor::zeros([0]),
+            locations: Vec::new(),
+            value: Tensor::zeros([0]),
+            output: Tensor::zeros([0]),
+        }
+    }
+}
+
+thread_local! {
+    /// The layer buffers a [`recycle_layer_buffers`] scope keeps between
+    /// encoder runs on this thread.
+    static RECYCLED: Cell<Option<LayerOutput>> = const { Cell::new(None) };
+    /// Whether this thread is inside a [`recycle_layer_buffers`] scope.
+    static RECYCLING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with this thread's encoder runs sharing one set of layer
+/// buffers: each run inside the scope refills the buffers the run before
+/// it left, block after block and request after request, instead of
+/// allocating — and faulting in — its intermediates afresh. The buffers
+/// are freed when the outermost scope returns, so an idle thread holds
+/// none. The serving runtime runs each batch of a pool worker in one
+/// scope.
+pub fn recycle_layer_buffers<R>(f: impl FnOnce() -> R) -> R {
+    /// Restores the enclosing scope's state, also when `f` panics.
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            RECYCLING.set(self.0);
+            if !self.0 {
+                drop(RECYCLED.take());
+            }
+        }
+    }
+    let _restore = Restore(RECYCLING.replace(true));
+    f()
+}
+
+/// Runs `f` with the layer buffers of one encoder run: inside a
+/// [`recycle_layer_buffers`] scope, this thread's recycled buffers,
+/// holding whatever the last run left (every `_into` evaluation resizes
+/// and overwrites what it fills); outside one, fresh buffers, freed after
+/// `f`. The buffers are taken out of the thread-local for the call and
+/// put back after it, so a reentrant call runs with fresh buffers instead
+/// of panicking.
+pub fn with_layer_buffers<R>(f: impl FnOnce(&mut LayerOutput) -> R) -> R {
+    let mut out = RECYCLED.take().unwrap_or_else(LayerOutput::empty);
+    let r = f(&mut out);
+    if RECYCLING.get() {
+        RECYCLED.set(Some(out));
+    }
+    r
+}
+
 /// One MSDeformAttn layer: configuration plus weights.
 #[derive(Debug, Clone)]
 pub struct MsdaLayer {
@@ -293,13 +400,43 @@ impl MsdaLayer {
         x: &FmapPyramid,
         warp: Option<&SaliencyWarp>,
     ) -> Result<LayerOutput, ModelError> {
-        let (_, probs) = self.attention_probs(x)?;
+        let mut out = LayerOutput::empty();
+        self.forward_into(x, warp, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`forward`](Self::forward) into caller-provided buffers (such as
+    /// [`with_layer_buffers`]'s), each resized reusing its allocation
+    /// and overwritten.
+    ///
+    /// # Errors
+    ///
+    /// As [`forward`](Self::forward).
+    pub fn forward_into(
+        &self,
+        x: &FmapPyramid,
+        warp: Option<&SaliencyWarp>,
+        out: &mut LayerOutput,
+    ) -> Result<(), ModelError> {
+        self.attention_probs_into(x, &mut out.probs)?;
         let q = x.tensor();
-        let offsets = matmul(q, &self.weights.w_offset)?;
-        let locations = generate_locations(&self.cfg, &self.references, &offsets, warp)?;
-        let value = matmul(q, &self.weights.w_value)?;
-        let output = self.sample_and_aggregate(&probs, &locations, &value, None)?;
-        Ok(LayerOutput { probs, offsets, locations, value, output })
+        with_thread_scratch(|s| matmul_into(q, &self.weights.w_offset, &mut out.offsets, s))?;
+        generate_locations_into(
+            &self.cfg,
+            &self.references,
+            &out.offsets,
+            warp,
+            &mut out.locations,
+        )?;
+        with_thread_scratch(|s| matmul_into(q, &self.weights.w_value, &mut out.value, s))?;
+        self.sample_and_aggregate_into(
+            &out.probs,
+            &out.locations,
+            &out.value,
+            None,
+            &mut (),
+            &mut out.output,
+        )
     }
 
     /// Computes only the per-head attention probabilities.
@@ -320,32 +457,53 @@ impl MsdaLayer {
     /// Returns [`ModelError::ShapeMismatch`] if the pyramid disagrees with
     /// the configuration.
     pub fn attention_probs(&self, x: &FmapPyramid) -> Result<((), Tensor), ModelError> {
-        let mut probs = self.attention_logits(x)?;
-        softmax_heads(&mut probs, self.cfg.points_per_head())?;
+        let mut probs = Tensor::zeros([0]);
+        self.attention_probs_into(x, &mut probs)?;
         Ok(((), probs))
     }
 
-    /// [`attention_probs`](Self::attention_probs) and the PAP compare in
-    /// one pass per query row ([`softmax_heads_thresholded`]): the same
-    /// probabilities, `keep = p >= threshold` per sampling point, and the
-    /// kept and total probability mass.
+    /// [`attention_probs`](Self::attention_probs) into a caller-provided
+    /// tensor, resized reusing its allocation and overwritten.
     ///
     /// # Errors
     ///
     /// As [`attention_probs`](Self::attention_probs).
-    pub fn attention_probs_thresholded(
+    pub fn attention_probs_into(
+        &self,
+        x: &FmapPyramid,
+        probs: &mut Tensor,
+    ) -> Result<(), ModelError> {
+        self.attention_logits_into(x, probs)?;
+        softmax_heads(probs, self.cfg.points_per_head())?;
+        Ok(())
+    }
+
+    /// [`attention_probs_into`](Self::attention_probs_into) and the PAP
+    /// compare in one pass per query row ([`softmax_heads_thresholded`]):
+    /// the same probabilities, written to `probs`, and `keep = p >=
+    /// threshold` per sampling point with the kept and total probability
+    /// mass.
+    ///
+    /// # Errors
+    ///
+    /// As [`attention_probs`](Self::attention_probs).
+    pub fn attention_probs_thresholded_into(
         &self,
         x: &FmapPyramid,
         threshold: f32,
-    ) -> Result<(Tensor, Thresholded), ModelError> {
-        let mut probs = self.attention_logits(x)?;
-        let pap = softmax_heads_thresholded(&mut probs, self.cfg.points_per_head(), threshold)?;
-        Ok((probs, pap))
+        probs: &mut Tensor,
+    ) -> Result<Thresholded, ModelError> {
+        self.attention_logits_into(x, probs)?;
+        Ok(softmax_heads_thresholded(probs, self.cfg.points_per_head(), threshold)?)
     }
 
-    /// The attention logits `X·Wᴬ`, after checking `x` against the
-    /// configuration.
-    fn attention_logits(&self, x: &FmapPyramid) -> Result<Tensor, ModelError> {
+    /// Writes the attention logits `X·Wᴬ` to `logits`, after checking `x`
+    /// against the configuration.
+    fn attention_logits_into(
+        &self,
+        x: &FmapPyramid,
+        logits: &mut Tensor,
+    ) -> Result<(), ModelError> {
         let cfg = &self.cfg;
         if x.n_in() != cfg.n_in() || x.d() != cfg.d_model {
             return Err(ModelError::ShapeMismatch(format!(
@@ -356,7 +514,8 @@ impl MsdaLayer {
                 cfg.d_model
             )));
         }
-        Ok(matmul(x.tensor(), &self.weights.w_attn)?)
+        with_thread_scratch(|s| matmul_into(x.tensor(), &self.weights.w_attn, logits, s))?;
+        Ok(())
     }
 
     /// MSGS + aggregation: bilinear-samples `value` at every surviving
@@ -407,10 +566,14 @@ impl MsdaLayer {
         value: &Tensor,
         point_mask: Option<&[bool]>,
     ) -> Result<Tensor, ModelError> {
-        self.sample_and_aggregate_visited(probs, locations, value, point_mask, &mut ())
+        let mut output = Tensor::zeros([0]);
+        self.sample_and_aggregate_into(probs, locations, value, point_mask, &mut (), &mut output)?;
+        Ok(output)
     }
 
-    /// [`sample_and_aggregate`](Self::sample_and_aggregate) with another
+    /// [`sample_and_aggregate`](Self::sample_and_aggregate) into a
+    /// caller-provided `output` (resized reusing its allocation and zeroed
+    /// first, since the aggregation accumulates into it), with another
     /// stage-4 visitor on the same walk: `visitor` sees every pass of
     /// footprint lanes the aggregation sees, so FWP counting and the MSGS
     /// engine share each footprint with it instead of walking the kept
@@ -420,14 +583,15 @@ impl MsdaLayer {
     ///
     /// As [`sample_and_aggregate`](Self::sample_and_aggregate). The visitor
     /// has seen the whole walk when a kept slot names a missing level.
-    pub fn sample_and_aggregate_visited<V: Stage4Visitor>(
+    pub fn sample_and_aggregate_into<V: Stage4Visitor>(
         &self,
         probs: &Tensor,
         locations: &[SamplePoint],
         value: &Tensor,
         point_mask: Option<&[bool]>,
         visitor: &mut V,
-    ) -> Result<Tensor, ModelError> {
+        output: &mut Tensor,
+    ) -> Result<(), ModelError> {
         let cfg = &self.cfg;
         let ppq = cfg.points_per_query();
         // The number of queries is the probability tensor's row count:
@@ -469,7 +633,8 @@ impl MsdaLayer {
         // Each query's aggregation walks ppq points x 4 neighbors x dh
         // channels — substantial, so the gate is on the point count alone.
         let ranges = query_ranges(n, n * ppq >= PAR_MIN_ELEMS / 4);
-        let mut output = Tensor::zeros([n, d]);
+        output.resize_reuse([n, d]);
+        output.as_mut_slice().fill(0.0);
         let mut rows = output.as_mut_slice();
         let mut parts = Vec::with_capacity(ranges.len());
         for (range, extra) in ranges.iter().zip(visitor.split(&ranges)) {
@@ -496,7 +661,7 @@ impl MsdaLayer {
                 cfg.n_levels()
             )));
         }
-        Ok(output)
+        Ok(())
     }
 }
 

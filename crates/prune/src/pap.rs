@@ -65,9 +65,23 @@ pub fn probs_and_mask(
     x: &FmapPyramid,
     cfg: PapConfig,
 ) -> Result<(Tensor, BitMask, f64), PruneError> {
-    let (probs, pap) = layer.attention_probs_thresholded(x, cfg.threshold)?;
+    let mut probs = Tensor::zeros([0]);
+    let (mask, mass) = probs_and_mask_into(layer, x, cfg, &mut probs)?;
+    Ok((probs, mask, mass))
+}
+
+/// [`probs_and_mask`] with the probabilities written to a caller-provided
+/// tensor, resized reusing its allocation and overwritten; returns the
+/// mask and the retained mass.
+pub(crate) fn probs_and_mask_into(
+    layer: &MsdaLayer,
+    x: &FmapPyramid,
+    cfg: PapConfig,
+    probs: &mut Tensor,
+) -> Result<(BitMask, f64), PruneError> {
+    let pap = layer.attention_probs_thresholded_into(x, cfg.threshold, probs)?;
     let mass = if pap.total_mass == 0.0 { 1.0 } else { pap.kept_mass / pap.total_mass };
-    Ok((probs, BitMask::from_bools(pap.keep), mass))
+    Ok((BitMask::from_bools(pap.keep), mass))
 }
 
 /// Builds the point mask from a `[N_in, N_h·N_l·N_p]` probability tensor.

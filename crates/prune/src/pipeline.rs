@@ -17,19 +17,24 @@
 //!
 //! This module reproduces that schedule functionally (bit-accurate masks and
 //! outputs); `defa-core` replays the same schedule on the cycle-level
-//! hardware model.
+//! hardware model. Every block writes its intermediates into one set of
+//! layer buffers ([`defa_model::reference::with_layer_buffers`]), which
+//! the observer reads and the next block overwrites.
 
 use crate::fwp::{FwpConfig, SampleFrequency};
-use crate::pap::{probs_and_mask, PapConfig};
+use crate::pap::{probs_and_mask_into, PapConfig};
 use crate::range::RangeConfig;
 use crate::stats::ReductionStats;
 use crate::{BitMask, PruneError};
 use defa_model::encoder::block_update;
 use defa_model::flops::BlockFlops;
-use defa_model::reference::{generate_kept_locations, LayerOutput, Stage4Visitor};
+use defa_model::reference::{
+    generate_kept_locations_into, with_layer_buffers, LayerOutput, Stage4Visitor,
+};
 use defa_model::workload::SyntheticWorkload;
 use defa_model::{FmapPyramid, MsdaConfig};
-use defa_tensor::matmul::matmul;
+use defa_tensor::matmul::{matmul_into, matmul_row_masked_into};
+use defa_tensor::scratch::with_thread_scratch;
 use defa_tensor::{QuantParams, Tensor};
 
 /// Which pruning/compression techniques a run enables.
@@ -181,11 +186,12 @@ where
 
     let quant_layers = settings.quant_bits.map(|bits| wl.quantized_layers(bits)).transpose()?;
 
+    // Block 0 reads `initial` in place unless INT-N mode quantizes it.
     let mut x = match settings.quant_bits {
         Some(bits) => {
-            FmapPyramid::from_tensor(cfg, fake_quantize_features(initial.tensor(), bits)?)?
+            Some(FmapPyramid::from_tensor(cfg, fake_quantize_features(initial.tensor(), bits)?)?)
         }
-        None => initial.clone(),
+        None => None,
     };
 
     let mut stats = ReductionStats::new();
@@ -193,88 +199,105 @@ where
     // FWP mask produced by the previous block; block 0 keeps everything.
     let mut next_fmap_mask = BitMask::keep_all(n);
 
-    for k in 0..cfg.n_layers {
-        let layer = match &quant_layers {
-            Some(ls) => &ls[k],
-            None => wl.layer(k)?,
-        };
+    // Every block refills one set of layer buffers in place: this
+    // thread's recycled ones inside a `recycle_layer_buffers` scope.
+    with_layer_buffers(|out| {
+        for k in 0..cfg.n_layers {
+            let layer = match &quant_layers {
+                Some(ls) => &ls[k],
+                None => wl.layer(k)?,
+            };
+            let cur = x.as_ref().unwrap_or(initial);
 
-        // Stage 1: probabilities and the PAP point mask, in one pass.
-        let (probs, pmask, mass) = match settings.pap {
-            Some(pap) => probs_and_mask(layer, &x, pap)?,
-            None => (layer.attention_probs(&x)?.1, BitMask::keep_all(n * ppq), 1.0),
-        };
+            // Stage 1: probabilities and the PAP point mask, in one pass.
+            let (pmask, mass) = match settings.pap {
+                Some(pap) => probs_and_mask_into(layer, cur, pap, &mut out.probs)?,
+                None => {
+                    layer.attention_probs_into(cur, &mut out.probs)?;
+                    (BitMask::keep_all(n * ppq), 1.0)
+                }
+            };
 
-        // Stage 2+3: masked offsets, locations (warp + range clamp), masked
-        // value projection. The offset projection stays dense; locations
-        // are built for kept slots only, bit-identical to the all-slot
-        // `generate_locations` + `clamp_locations` there (pinned by the
-        // golden tests), and pruned slots stay zeroed.
-        let offsets =
-            matmul(x.tensor(), &layer.weights().w_offset).map_err(defa_model::ModelError::from)?;
-        let (locations, clamped) = generate_kept_locations(
-            cfg,
-            layer.references(),
-            &offsets,
-            Some(wl.warp()),
-            pmask.as_bools(),
-            half_extents.as_deref(),
-        )?;
+            // Stage 2+3: masked offsets, locations (warp + range clamp),
+            // masked value projection. The offset projection stays dense;
+            // locations are built for kept slots only, bit-identical to the
+            // all-slot `generate_locations` + `clamp_locations` there
+            // (pinned by the golden tests), and pruned slots stay zeroed.
+            with_thread_scratch(|s| {
+                matmul_into(cur.tensor(), &layer.weights().w_offset, &mut out.offsets, s)
+            })
+            .map_err(defa_model::ModelError::from)?;
+            let clamped = generate_kept_locations_into(
+                cfg,
+                layer.references(),
+                &out.offsets,
+                Some(wl.warp()),
+                pmask.as_bools(),
+                half_extents.as_deref(),
+                &mut out.locations,
+            )?;
 
-        let fmap_mask = std::mem::replace(&mut next_fmap_mask, BitMask::keep_all(n));
-        let value = defa_tensor::matmul::matmul_row_masked(
-            x.tensor(),
-            &layer.weights().w_value,
-            fmap_mask.as_bools(),
-        )
-        .map_err(defa_model::ModelError::from)?;
+            let fmap_mask = std::mem::replace(&mut next_fmap_mask, BitMask::keep_all(n));
+            with_thread_scratch(|s| {
+                matmul_row_masked_into(
+                    cur.tensor(),
+                    &layer.weights().w_value,
+                    fmap_mask.as_bools(),
+                    &mut out.value,
+                    s,
+                )
+            })
+            .map_err(defa_model::ModelError::from)?;
 
-        // Stage 4: one walk over the surviving points builds each
-        // footprint once; the aggregation, FWP's frequency counting for
-        // the next block and the caller's visitor all read it.
-        let mut freq = settings.fwp.map(|_| SampleFrequency::new(cfg)).transpose()?;
-        let output = layer.sample_and_aggregate_visited(
-            &probs,
-            &locations,
-            &value,
-            Some(pmask.as_bools()),
-            &mut (freq.as_mut(), &mut *stage4),
-        )?;
-        if let (Some(fwp), Some(freq)) = (settings.fwp, &freq) {
-            next_fmap_mask = freq.fmap_mask(fwp)?;
+            // Stage 4: one walk over the surviving points builds each
+            // footprint once; the aggregation, FWP's frequency counting for
+            // the next block and the caller's visitor all read it.
+            let mut freq = settings.fwp.map(|_| SampleFrequency::new(cfg)).transpose()?;
+            layer.sample_and_aggregate_into(
+                &out.probs,
+                &out.locations,
+                &out.value,
+                Some(pmask.as_bools()),
+                &mut (freq.as_mut(), &mut *stage4),
+                &mut out.output,
+            )?;
+            if let (Some(fwp), Some(freq)) = (settings.fwp, &freq) {
+                next_fmap_mask = freq.fmap_mask(fwp)?;
+            }
+
+            stats.record_block(
+                &flops,
+                (n * ppq) as u64,
+                pmask.kept() as u64,
+                n as u64,
+                fmap_mask.kept() as u64,
+                k > 0 && settings.fwp.is_some(),
+                clamped,
+                mass,
+            );
+
+            let info = BlockPruneInfo {
+                point_mask: pmask,
+                fmap_mask,
+                clamped_points: clamped,
+                retained_mass: mass,
+            };
+            observe(k, out, &info, stage4);
+            blocks.push(info);
+
+            // Residual + normalization into the next block, re-quantized if
+            // the module is running in INT-N mode.
+            let mut next = block_update(cur.tensor(), &out.output)?;
+            if let Some(bits) = settings.quant_bits {
+                next = fake_quantize_features(&next, bits)?;
+            }
+            x = Some(FmapPyramid::from_tensor(cfg, next)?);
         }
+        Ok::<_, PruneError>(())
+    })?;
 
-        stats.record_block(
-            &flops,
-            (n * ppq) as u64,
-            pmask.kept() as u64,
-            n as u64,
-            fmap_mask.kept() as u64,
-            k > 0 && settings.fwp.is_some(),
-            clamped,
-            mass,
-        );
-
-        let info = BlockPruneInfo {
-            point_mask: pmask,
-            fmap_mask,
-            clamped_points: clamped,
-            retained_mass: mass,
-        };
-        let layer_output = LayerOutput { probs, offsets, locations, value, output };
-        observe(k, &layer_output, &info, stage4);
-        blocks.push(info);
-
-        // Residual + normalization into the next block, re-quantized if the
-        // module is running in INT-N mode.
-        let mut next = block_update(x.tensor(), &layer_output.output)?;
-        if let Some(bits) = settings.quant_bits {
-            next = fake_quantize_features(&next, bits)?;
-        }
-        x = FmapPyramid::from_tensor(cfg, next)?;
-    }
-
-    Ok(PrunedRun { final_features: x.into_tensor(), stats, blocks })
+    let final_features = x.map_or_else(|| initial.tensor().clone(), FmapPyramid::into_tensor);
+    Ok(PrunedRun { final_features, stats, blocks })
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use crate::ServeError;
 use defa_arch::CLOCK_HZ;
 use defa_baseline::gpu::GpuSpec;
 use defa_core::runner::DefaAccelerator;
-use defa_model::encoder::run_encoder_from;
+use defa_model::encoder::run_encoder_observed_from;
 use defa_model::flops::BlockFlops;
 use defa_model::workload::{InferenceRequest, SyntheticWorkload};
 use defa_prune::pipeline::{run_pruned_encoder_from, PruneSettings};
@@ -295,11 +295,11 @@ impl Backend for DenseBackend {
         scenario: &SyntheticWorkload,
         req: &InferenceRequest,
     ) -> Result<BackendOutput, ServeError> {
-        let trace = run_encoder_from(scenario, &req.fmap)?;
+        let features = run_encoder_observed_from(scenario, &req.fmap, |_, _| {})?;
         let cost = self.gpu.msda_latency(scenario.config()).total_s();
         let cost_ns = secs_to_ns(cost);
         Ok(BackendOutput {
-            digest: tensor_digest(&trace.final_features),
+            digest: tensor_digest(&features),
             cost_ns,
             energy: EnergyBreakdown::from_gpu(&self.gpu, cost_ns),
             dense_flops: scenario_dense_flops(scenario),

@@ -7,7 +7,8 @@
 //! Every admitted prefill is materialized from the seeded
 //! [`RequestGenerator`] and run by its shard's backend on a long-lived
 //! [`WorkerPool`] worker (whose thread-local GEMM scratch arenas act as
-//! per-shard arenas); payload-free backends ([`Backend::payload_free`])
+//! per-shard arenas, and whose batches each refill one set of encoder
+//! layer buffers, [`recycle_layer_buffers`]); payload-free backends ([`Backend::payload_free`])
 //! run inline on the accounting thread instead, which is what makes
 //! 10M-request traces feasible in seconds. Decode steps derive from their
 //! session's settled prefill ([`Backend::decode_output`]). Timing comes
@@ -93,6 +94,7 @@ use crate::report::{LiveStats, RequestOutcome, ServeReport};
 use crate::router::ShardView;
 use crate::sessions::{SessionLive, SessionTally, Sessions};
 use crate::ServeError;
+use defa_model::reference::recycle_layer_buffers;
 use defa_model::workload::RequestGenerator;
 use defa_parallel::WorkerPool;
 use std::sync::{mpsc, Arc};
@@ -1086,10 +1088,13 @@ impl ServeRuntime {
                 let backend = Arc::clone(&fleet[shard]);
                 let work: Vec<(u64, usize)> = members.iter().map(|m| (m.id, m.scenario)).collect();
                 self.pool.submit(shard, move || {
-                    let results = work
-                        .iter()
-                        .map(|&(id, sc)| exec_request(&gen, backend.as_ref(), id, sc))
-                        .collect();
+                    // The batch's requests share one set of layer buffers,
+                    // freed when the batch ends.
+                    let results = recycle_layer_buffers(|| {
+                        work.iter()
+                            .map(|&(id, sc)| exec_request(&gen, backend.as_ref(), id, sc))
+                            .collect()
+                    });
                     // The receiver disappears only if `serve` already
                     // failed; nothing to report to in that case.
                     let _ = tx.send(results);

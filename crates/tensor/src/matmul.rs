@@ -397,11 +397,8 @@ pub fn matmul_into(
 /// # }
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let (m, _, n) = check_dims(a, b, "matmul")?;
-    let mut out = Tensor::zeros([m, n]);
-    with_thread_scratch(|scratch| {
-        gemm_tiled(a, b, None, out.as_mut_slice(), scratch);
-    });
+    let mut out = Tensor::zeros([0]);
+    with_thread_scratch(|scratch| matmul_into(a, b, &mut out, scratch))?;
     Ok(out)
 }
 
@@ -420,11 +417,19 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
 /// the row count of `a`, or on inner-dimension mismatch.
 pub fn matmul_row_masked(a: &Tensor, b: &Tensor, row_mask: &[bool]) -> Result<Tensor, TensorError> {
     let mut out = Tensor::zeros([0]);
-    with_thread_scratch(|scratch| matmul_row_masked_scratch(a, b, row_mask, &mut out, scratch))?;
+    with_thread_scratch(|scratch| matmul_row_masked_into(a, b, row_mask, &mut out, scratch))?;
     Ok(out)
 }
 
-fn matmul_row_masked_scratch(
+/// [`matmul_row_masked`] into a caller-provided output tensor with a
+/// caller-provided [`Scratch`] arena, as [`matmul_into`]: `out` is resized
+/// to `[m, n]` reusing its allocation, and every masked row is written as
+/// zeros, whatever `out` held before.
+///
+/// # Errors
+///
+/// As [`matmul_row_masked`].
+pub fn matmul_row_masked_into(
     a: &Tensor,
     b: &Tensor,
     row_mask: &[bool],
@@ -561,7 +566,7 @@ mod tests {
         let mut out = Tensor::full([8, 6], 7.0);
         let mut scratch = Scratch::new();
         let mask = vec![false; 8];
-        matmul_row_masked_scratch(&a, &b, &mask, &mut out, &mut scratch).unwrap();
+        matmul_row_masked_into(&a, &b, &mask, &mut out, &mut scratch).unwrap();
         assert_eq!(out.max_abs(), 0.0);
     }
 

@@ -10,7 +10,7 @@
 //! [`crate::matmul::matmul`]) draw from a thread-local `Scratch` instead,
 //! which amortizes the same way across repeated calls on one thread.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 
 /// Arena of reusable `f32` buffers for GEMM packing and kernel staging.
 ///
@@ -65,12 +65,21 @@ impl Scratch {
 }
 
 thread_local! {
-    static TLS_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
+    static TLS_SCRATCH: Cell<Option<Scratch>> = const { Cell::new(None) };
 }
 
-/// Runs `f` with this thread's shared [`Scratch`] arena.
-pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
-    TLS_SCRATCH.with(|s| f(&mut s.borrow_mut()))
+/// Runs `f` with this thread's shared [`Scratch`] arena — how the
+/// allocating kernels and the `_into` callers without an arena of their
+/// own amortize packing buffers across calls.
+///
+/// The arena is taken out of the thread-local for the call and put back
+/// after it, so a reentrant call runs with a fresh arena instead of
+/// panicking on a second borrow.
+pub fn with_thread_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    let mut scratch = TLS_SCRATCH.take().unwrap_or_default();
+    let r = f(&mut scratch);
+    TLS_SCRATCH.set(Some(scratch));
+    r
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! ```
 
 use defa_model::detection::estimate_ap;
-use defa_model::encoder::run_encoder;
+use defa_model::encoder::run_encoder_observed_from;
 use defa_model::workload::{Benchmark, SyntheticWorkload};
 use defa_model::MsdaConfig;
 use defa_prune::pipeline::{run_pruned_encoder, PruneSettings};
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for bench in Benchmark::all() {
         let wl = SyntheticWorkload::generate(bench, &cfg, 42)?;
-        let exact = run_encoder(&wl)?;
+        let exact = run_encoder_observed_from(&wl, wl.initial_fmap(), |_, _| {})?;
         let pruned = run_pruned_encoder(&wl, &PruneSettings::paper_defaults())?;
 
         println!("{bench}:");
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 info.clamped_points,
             );
         }
-        let est = estimate_ap(bench, &exact.final_features, &pruned.final_features)?;
+        let est = estimate_ap(bench, &exact, &pruned.final_features)?;
         println!(
             "  fidelity error {:.4} -> AP proxy {:.1} (paper: {:.1}, baseline {:.1})\n",
             est.fidelity_error,

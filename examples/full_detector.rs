@@ -9,7 +9,7 @@
 
 use defa_core::runner::DefaAccelerator;
 use defa_model::decoder::{DecoderConfig, DecoderWorkload};
-use defa_model::encoder::run_encoder;
+use defa_model::encoder::run_encoder_observed_from;
 use defa_model::workload::{Benchmark, SyntheticWorkload};
 use defa_model::{FmapPyramid, MsdaConfig};
 use defa_prune::pipeline::PruneSettings;
@@ -25,8 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let enc_report = accel.run_workload(&enc, &prune)?;
 
     // Decoder: object queries cross-attending into the refined memory.
-    let trace = run_encoder(&enc)?;
-    let memory = FmapPyramid::from_tensor(&cfg, trace.final_features)?;
+    let features = run_encoder_observed_from(&enc, enc.initial_fmap(), |_, _| {})?;
+    let memory = FmapPyramid::from_tensor(&cfg, features)?;
     let dec = DecoderWorkload::generate(
         bench,
         &cfg,

@@ -793,13 +793,17 @@ fn fused_stage4_equals_standalone_calls() {
                     let mut sampler = engine.sampler();
                     let mut counters = EventCounters::new();
                     let (got_out, stats) = with_num_threads(threads, || {
-                        let got = layer
-                            .sample_and_aggregate_visited(
+                        // A stale, wrongly shaped buffer: the walk must
+                        // resize and zero it before accumulating.
+                        let mut got = Tensor::full([3, 5], 7.0);
+                        layer
+                            .sample_and_aggregate_into(
                                 probs,
                                 locs,
                                 value,
                                 Some(keep),
                                 &mut (Some(&mut freq), &mut sampler),
+                                &mut got,
                             )
                             .unwrap();
                         (got, sampler.settle(cfg.n_in(), keep, 0.5, &mut counters).unwrap())
