@@ -6,6 +6,10 @@
 //! rate (probed deterministically on request 0), so every backend sees an
 //! under-loaded (0.5×) and an over-loaded (2×) operating point.
 //!
+//! Every operating point is served twice in-process, on worker pools of 3
+//! and 1 threads, and the two reports must be equal (full `PartialEq`,
+//! digest included): the work-shared pool changes wall time only.
+//!
 //! Flags (on top of the shared `--full` / `--seed`):
 //!
 //! * `--quick` — tiny config, single operating point per backend (the CI
@@ -61,7 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("  scenario: {:<14} ({} queries x {} dims)", s.name, cfg.n_in(), cfg.d_model);
         }
     }
-    let runtime = ServeRuntime::new(gen);
+    // Pool-size invariance, asserted in-process on every invocation.
+    let runtime = ServeRuntime::with_pool_threads(gen.clone(), 3);
+    let single = ServeRuntime::with_pool_threads(gen, 1);
 
     let batch_sizes: &[usize] = if quick { &[4] } else { &[1, 8] };
     let load_mults: &[f64] = if quick { &[2.0] } else { &[0.5, 2.0] };
@@ -88,7 +94,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     shards,
                     ..ServeConfig::at_load(offered, n_requests)
                 };
-                let report = runtime.serve(&ServeSpec::homogeneous(&backend, &cfg))?;
+                let spec = ServeSpec::homogeneous(&backend, &cfg);
+                let report = runtime.serve(&spec)?;
+                assert_eq!(
+                    report,
+                    single.serve(&spec)?,
+                    "{} ServeReport differs between pools of 3 and 1 workers",
+                    kind.name()
+                );
                 rows.push(Row { report, load_mult: mult });
             }
         }

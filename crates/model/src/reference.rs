@@ -315,8 +315,8 @@ thread_local! {
 /// it left, block after block and request after request, instead of
 /// allocating — and faulting in — its intermediates afresh. The buffers
 /// are freed when the outermost scope returns, so an idle thread holds
-/// none. The serving runtime runs each batch of a pool worker in one
-/// scope.
+/// none. The serving runtime runs each pool job — one worker's share of
+/// a batch — in one scope.
 pub fn recycle_layer_buffers<R>(f: impl FnOnce() -> R) -> R {
     /// Restores the enclosing scope's state, also when `f` panics.
     struct Restore(bool);

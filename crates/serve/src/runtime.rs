@@ -5,16 +5,23 @@
 //!
 //! *What* is computed is separate from *when* it is deemed to happen.
 //! Every admitted prefill is materialized from the seeded
-//! [`RequestGenerator`] and run by its shard's backend on a long-lived
-//! [`WorkerPool`] worker (whose thread-local GEMM scratch arenas act as
-//! per-shard arenas, and whose batches each refill one set of encoder
-//! layer buffers, [`recycle_layer_buffers`]); payload-free backends ([`Backend::payload_free`])
-//! run inline on the accounting thread instead, which is what makes
-//! 10M-request traces feasible in seconds. Decode steps derive from their
-//! session's settled prefill ([`Backend::decode_output`]). Timing comes
-//! from an integer virtual clock driven by the seeded load generator and
-//! the backends' deterministic cost models, never the wall clock, so the
-//! full [`ServeReport`] is byte-identical for any `RAYON_NUM_THREADS`.
+//! [`RequestGenerator`] and run by its shard's backend on the long-lived
+//! [`WorkerPool`], work-shared: a dispatched batch becomes one shared
+//! claim cursor over its `(id, scenario)` items, and the runtime queues
+//! one job per pool worker, the first on the shard's own worker. Each job
+//! claims the batch's next unrun request until none is left, inside one
+//! [`recycle_layer_buffers`] scope, and sends its `(index, result)` pairs
+//! back; settle places them by index. Every worker's queue is FIFO in
+//! dispatch order, so an idle worker always helps the oldest unfinished
+//! batch, and which worker ran a request never reaches the results.
+//! Payload-free backends ([`Backend::payload_free`]) run inline on the
+//! accounting thread instead, which is what makes 10M-request traces
+//! feasible in seconds. Decode steps derive from their session's settled
+//! prefill ([`Backend::decode_output`]). Timing comes from an integer
+//! virtual clock driven by the seeded load generator and the backends'
+//! deterministic cost models, never the wall clock, so the full
+//! [`ServeReport`] is byte-identical for any `RAYON_NUM_THREADS` and any
+//! pool size.
 //!
 //! Request `id` is the *prefill* of session `id`, whose length and think
 //! times are pure functions of `(seed, id)`
@@ -97,6 +104,7 @@ use crate::ServeError;
 use defa_model::reference::recycle_layer_buffers;
 use defa_model::workload::RequestGenerator;
 use defa_parallel::WorkerPool;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
 /// Salt applied to the generator seed for the arrival-time stream, so load
@@ -106,12 +114,103 @@ const ARRIVAL_SALT: u64 = 0x5E54_1A7E_57A6_0001;
 /// Digest marker mixed in for dropped requests.
 const DROP_MARK: u64 = 0xD20D_D20D_D20D_D20D;
 
-/// Where a batch's prefill results come from: a worker-pool channel for
+/// Where a batch's prefill results come from: the worker pool for
 /// backends that need materialized payloads, or the already-computed
 /// vector for payload-free backends executed inline.
 enum BatchResults {
-    Pool(mpsc::Receiver<Vec<Result<BackendOutput, ServeError>>>),
+    Pool(PoolBatch),
     Ready(Vec<Result<BackendOutput, ServeError>>),
+}
+
+/// One batch's requests, shared by every pool job working on it.
+struct SharedBatch {
+    gen: Arc<RequestGenerator>,
+    backend: Arc<dyn Backend>,
+    /// `(request id, scenario)` in batch order.
+    items: Vec<(u64, usize)>,
+    /// Index of the next unclaimed item.
+    next: AtomicUsize,
+}
+
+/// `(batch index, result)` pairs, as one job computed them.
+type Part = Vec<(usize, Result<BackendOutput, ServeError>)>;
+
+impl SharedBatch {
+    /// Claims and runs items until the batch is exhausted. The claimed
+    /// requests share one set of layer buffers, freed when the job ends.
+    fn run(&self) -> Part {
+        recycle_layer_buffers(|| {
+            let mut part = Part::new();
+            loop {
+                let i = self.next.fetch_add(1, Ordering::Relaxed);
+                let Some(&(id, scenario)) = self.items.get(i) else { return part };
+                part.push((i, exec_request(&self.gen, self.backend.as_ref(), id, scenario)));
+            }
+        })
+    }
+}
+
+/// A batch running on the pool: the receiving end of its jobs' parts.
+struct PoolBatch {
+    rx: mpsc::Receiver<Part>,
+    len: usize,
+}
+
+impl PoolBatch {
+    /// Queues `items` on `pool` as one job per worker (at most one per
+    /// item), the first on worker `first`. The caller keeps no sender and
+    /// no reference to the batch, so a job that dies takes its sender with
+    /// it and [`Self::collect_into`] reports it instead of waiting forever.
+    fn submit(
+        pool: &WorkerPool,
+        first: usize,
+        gen: &Arc<RequestGenerator>,
+        backend: &Arc<dyn Backend>,
+        items: Vec<(u64, usize)>,
+    ) -> Self {
+        let len = items.len();
+        let (tx, rx) = mpsc::channel();
+        let batch = Arc::new(SharedBatch {
+            gen: Arc::clone(gen),
+            backend: Arc::clone(backend),
+            items,
+            next: AtomicUsize::new(0),
+        });
+        for k in 0..pool.threads().min(len) {
+            let (batch, tx) = (Arc::clone(&batch), tx.clone());
+            pool.submit(first + k, move || {
+                let part = batch.run();
+                if !part.is_empty() {
+                    // The receiver disappears only if its run already
+                    // failed; nothing to report to in that case.
+                    let _ = tx.send(part);
+                }
+            });
+        }
+        PoolBatch { rx, len }
+    }
+
+    /// Waits for every item's result and appends them to `out` in batch
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// Fails when every job has ended with some item still owed: a job
+    /// panicked.
+    fn collect_into(
+        self,
+        out: &mut Vec<Result<BackendOutput, ServeError>>,
+    ) -> Result<(), mpsc::RecvError> {
+        let mut parts = Part::with_capacity(self.len);
+        while parts.len() < self.len {
+            parts.extend(self.rx.recv()?);
+        }
+        // Each index is claimed exactly once, so sorting restores batch
+        // order.
+        parts.sort_unstable_by_key(|&(i, _)| i);
+        out.extend(parts.into_iter().map(|(_, r)| r));
+        Ok(())
+    }
 }
 
 /// A batch handed to a shard: its virtual start, the clock it dispatched
@@ -147,8 +246,8 @@ struct SimState {
     /// dispatch pops one for the scheduler to fill. Grow-on-touch, never
     /// shrink — steady-state dispatch/settle performs no allocation.
     scratch_members: Vec<Vec<QueuedRequest>>,
-    /// Recycled batch-result buffers, same discipline (inline-executed
-    /// fleets only; pool batches allocate on the worker side).
+    /// Recycled batch-result buffers, same discipline: inline batches
+    /// fill one at dispatch, pool batches at settle.
     scratch_results: Vec<Vec<Result<BackendOutput, ServeError>>>,
     /// Recycled decode-step buffers of iteration-level batches, same
     /// discipline (one-shot runs never touch them).
@@ -190,9 +289,7 @@ impl SimState {
         let backend = fleet[shard].as_ref();
         let prof = self.obs.prof_begin();
         let mut results = match inf.results {
-            BatchResults::Pool(rx) => rx.recv().map_err(|_| {
-                ServeError::WorkerLost(format!("shard {shard} dropped batch {}", inf.batch))
-            })?,
+            BatchResults::Pool(pooled) => self.collect_pooled(pooled, shard, inf.batch)?,
             BatchResults::Ready(r) => r,
         };
         debug_assert_eq!(results.len(), inf.members.len());
@@ -276,6 +373,23 @@ impl SimState {
         self.tot.makespan_ns = self.tot.makespan_ns.max(t);
         self.obs.prof_end(ProfSection::Settle, prof);
         Ok(())
+    }
+
+    /// Waits for a pool batch's results, in batch order, in a recycled
+    /// buffer. Kept out of line so the inline replay settle's code does
+    /// not move.
+    #[inline(never)]
+    fn collect_pooled(
+        &mut self,
+        pooled: PoolBatch,
+        shard: usize,
+        batch: u64,
+    ) -> Result<Vec<Result<BackendOutput, ServeError>>, ServeError> {
+        let mut out = self.scratch_results.pop().unwrap_or_default();
+        pooled
+            .collect_into(&mut out)
+            .map_err(|_| ServeError::WorkerLost(format!("shard {shard} dropped batch {batch}")))?;
+        Ok(out)
     }
 
     /// Opens a multi-iteration session whose prefill settled at `t` in
@@ -487,11 +601,7 @@ impl SimState {
             || ledger.folded != arrivals
             || !self.sessions.live.is_empty()
         {
-            return Err(ServeError::Conservation {
-                completed: self.tot.completed,
-                dropped: self.tot.dropped,
-                arrivals,
-            });
+            return Err(stranded(&self.tot, cfg));
         }
         let timeline = self.timeline.finalize(self.tot.makespan_ns, epoch_states);
         let single_sessions = self.tot.total_single.count();
@@ -673,6 +783,18 @@ fn exec_request(
     }
 }
 
+/// The conservation error of a run that did not serve or shed every
+/// arrival exactly once.
+#[cold]
+#[inline(never)]
+fn stranded(tot: &Totals, cfg: &ServeConfig) -> ServeError {
+    ServeError::Conservation {
+        completed: tot.completed,
+        dropped: tot.dropped,
+        arrivals: cfg.n_requests as u64,
+    }
+}
+
 /// The lazy arrival trace: consuming the pending arrival pulls the next
 /// from the stream, so the event list holds exactly one.
 struct Arrivals {
@@ -762,7 +884,11 @@ impl ServeSpec {
 /// operating points.
 ///
 /// The pool is created once and reused, so a sweep over backends × loads ×
-/// batch sizes pays the thread-spawn cost a single time.
+/// batch sizes pays the thread-spawn cost a single time. Its workers are
+/// not tied to shards: every worker claims requests from the oldest
+/// unfinished batch, whichever shard dispatched it, and the capacity
+/// probe ([`Self::modeled_capacity_rps`]) runs on them the same way. The
+/// pool size changes wall time only, never a report bit.
 ///
 /// # Example
 ///
@@ -794,7 +920,7 @@ impl ServeRuntime {
         Self::with_pool_threads(gen, defa_parallel::current_num_threads())
     }
 
-    /// A runtime with an explicit pool size.
+    /// A runtime with an explicit pool size (at least one worker).
     pub fn with_pool_threads(gen: RequestGenerator, threads: usize) -> Self {
         ServeRuntime { gen: Arc::new(gen), pool: WorkerPool::new(threads) }
     }
@@ -812,11 +938,15 @@ impl ServeRuntime {
     /// eight requests of the trace (analytic estimates undershoot the
     /// simulated cycle counts at small scales), so the result is a pure
     /// function of the generator seed — what the trace-driven bench bins
-    /// calibrate their offered loads against.
+    /// calibrate their offered loads against. The probes run as one
+    /// work-shared batch on the pool (inline for payload-free backends)
+    /// and their costs sum in id order, so the result is the same for any
+    /// pool size.
     ///
     /// # Errors
     ///
-    /// Propagates backend failures from the probe runs.
+    /// Returns the first probe's backend failure in id order, and
+    /// [`ServeError::WorkerLost`] if a probe's pool job panicked.
     pub fn modeled_capacity_rps(
         &self,
         backend: &Arc<dyn Backend>,
@@ -825,15 +955,41 @@ impl ServeRuntime {
         overhead_us: u64,
     ) -> Result<f64, ServeError> {
         let probes = 8u64;
+        let items: Vec<(u64, usize)> =
+            (0..probes).map(|id| (id, self.gen.request_scenario(id))).collect();
+        let mut results = Vec::with_capacity(items.len());
+        if backend.payload_free() {
+            results.extend(
+                items.iter().map(|&(id, sc)| exec_request(&self.gen, backend.as_ref(), id, sc)),
+            );
+        } else {
+            PoolBatch::submit(&self.pool, 0, &self.gen, backend, items)
+                .collect_into(&mut results)
+                .map_err(|_| {
+                    ServeError::WorkerLost(format!("{} capacity probe dropped", backend.name()))
+                })?;
+        }
         let mut total_cost_ns = 0f64;
-        for id in 0..probes {
-            let scenario = self.gen.request_scenario(id);
-            total_cost_ns +=
-                exec_request(&self.gen, backend.as_ref(), id, scenario)?.cost_ns as f64;
+        for r in results {
+            total_cost_ns += r?.cost_ns as f64;
         }
         let mean_cost_ns = total_cost_ns / probes as f64;
         let batch_ns = overhead_us as f64 * 1e3 + max_batch.max(1) as f64 * mean_cost_ns;
         Ok(max_batch.max(1) as f64 / batch_ns * 1e9 * shards.max(1) as f64)
+    }
+
+    /// Queues one batch's prefills work-shared on the pool, starting at
+    /// `shard`'s worker. Kept out of line so the inline replay loop's code
+    /// does not move.
+    #[inline(never)]
+    fn submit_batch(
+        &self,
+        shard: usize,
+        backend: &Arc<dyn Backend>,
+        members: &[QueuedRequest],
+    ) -> BatchResults {
+        let items = members.iter().map(|m| (m.id, m.scenario)).collect();
+        BatchResults::Pool(PoolBatch::submit(&self.pool, shard, &self.gen, backend, items))
     }
 
     /// Serves one fully-specified run ([`ServeSpec`]) and reports
@@ -940,7 +1096,10 @@ impl ServeRuntime {
                 .front()
                 .map(|r| r.arrival_ns)
                 .or_else(|| state.events.arrival().map(|(t, _)| t));
-            let min_free = state.events.min_active_free().expect("at least one active shard");
+            // Validation and the control loop keep a shard active; with
+            // none, the pending work is stranded.
+            let min_free =
+                state.events.min_active_free().ok_or_else(|| stranded(&state.tot, cfg))?;
             let prefill_at = pending.map(|p| min_free.max(p));
             // A due decode step wins ties: the resident session continues
             // before new work claims the shard.
@@ -972,8 +1131,10 @@ impl ServeRuntime {
                         for s in 0..fleet_size {
                             state.settle(s, &mut inflight, overhead_ns, fleet, &ctl.active)?;
                         }
-                        let min_free =
-                            state.events.min_active_free().expect("at least one active shard");
+                        let min_free = state
+                            .events
+                            .min_active_free()
+                            .ok_or_else(|| stranded(&state.tot, cfg))?;
                         est.fill_views(&mut views, &ctl.active, &state.shard_free);
                         views[router.route(batches, min_free.max(pending), &views)].shard
                     } else {
@@ -1073,33 +1234,16 @@ impl ServeRuntime {
             }
 
             // Real execution. Payload-free fleets evaluate the prefills
-            // inline; otherwise they materialize and run on this shard's
-            // pool worker, results returning over a per-batch channel.
-            // Timing comes from the cost model either way, never the
-            // wall clock.
+            // inline; otherwise they materialize and run work-shared on the
+            // pool, results returning over a per-batch channel. Timing
+            // comes from the cost model either way, never the wall clock.
             let results = if inline {
                 let backend = fleet[shard].as_ref();
                 let mut out = state.scratch_results.pop().unwrap_or_default();
                 out.extend(members.iter().map(|m| exec_request(gen, backend, m.id, m.scenario)));
                 BatchResults::Ready(out)
             } else {
-                let (tx, rx) = mpsc::channel();
-                let gen = Arc::clone(&self.gen);
-                let backend = Arc::clone(&fleet[shard]);
-                let work: Vec<(u64, usize)> = members.iter().map(|m| (m.id, m.scenario)).collect();
-                self.pool.submit(shard, move || {
-                    // The batch's requests share one set of layer buffers,
-                    // freed when the batch ends.
-                    let results = recycle_layer_buffers(|| {
-                        work.iter()
-                            .map(|&(id, sc)| exec_request(&gen, backend.as_ref(), id, sc))
-                            .collect()
-                    });
-                    // The receiver disappears only if `serve` already
-                    // failed; nothing to report to in that case.
-                    let _ = tx.send(results);
-                });
-                BatchResults::Pool(rx)
+                self.submit_batch(shard, &fleet[shard], &members)
             };
             state.inflight_members += members.len() as u64;
             state.note_live(queue.len());

@@ -14,13 +14,15 @@
 //!   (`defa_serve::energy`), so totals are byte-identical across thread
 //!   counts, shard counts and batch sizes too.
 
-use defa_model::workload::RequestGenerator;
+use defa_model::workload::{InferenceRequest, RequestGenerator, SyntheticWorkload};
 use defa_model::MsdaConfig;
 use defa_parallel::with_num_threads;
 use defa_serve::{
-    ArrivalProcess, BackendKind, DropPolicy, EnergyBreakdown, RequestOutcome, RouterKind,
-    SchedulerKind, ServeConfig, ServeRuntime,
+    ArrivalProcess, Backend, BackendKind, BackendOutput, DropPolicy, DvfsPoint, EnergyBreakdown,
+    RequestOutcome, RouterKind, SchedulerKind, ServeConfig, ServeError, ServeRuntime,
+    SessionConfig, SessionProfile,
 };
+use std::sync::Arc;
 
 fn runtime(seed: u64) -> ServeRuntime {
     ServeRuntime::new(RequestGenerator::standard(&MsdaConfig::tiny(), seed).unwrap())
@@ -527,4 +529,187 @@ fn backends_disagree_on_approximation_but_agree_on_accounting() {
     // from the exact reference.
     assert_ne!(dense.digest, pruned.digest);
     assert_ne!(dense.digest, accel.digest);
+}
+
+/// Runtimes over the same seeded generator with pools of 1, 2 and 3
+/// workers.
+fn pooled_runtimes(seed: u64) -> Vec<ServeRuntime> {
+    let gen = RequestGenerator::standard(&MsdaConfig::tiny(), seed).unwrap();
+    [1, 2, 3].map(|threads| ServeRuntime::with_pool_threads(gen.clone(), threads)).into()
+}
+
+/// Short multi-iteration sessions: continuous batching under a state
+/// budget of `state_budget` sessions per shard (0 = unbounded), or gang
+/// scheduling.
+fn sessions(state_budget: usize, gang: bool) -> SessionConfig {
+    SessionConfig {
+        profile: SessionProfile { min_len: 2, max_len: 5, think_mean_us: 200 },
+        state_budget,
+        gang,
+    }
+}
+
+/// Every pool worker claims requests from the oldest open batch, so which
+/// worker ran a request is an execution detail: one-shot runs, continuous
+/// sessions whose tight budget evicts (and whose decode-only batches carry
+/// no prefill), and gang sessions all report the same bytes on pools of
+/// 1, 2 and 3 workers.
+#[test]
+fn serve_reports_are_identical_across_pool_sizes() {
+    let rts = pooled_runtimes(42);
+    let base = ServeConfig {
+        queue_capacity: 32,
+        max_batch: 4,
+        shards: 2,
+        ..ServeConfig::at_load(4_000.0, 16)
+    };
+    let configs = [
+        ("one-shot", base.clone()),
+        ("continuous", ServeConfig { sessions: sessions(2, false), ..base.clone() }),
+        ("gang", ServeConfig { sessions: sessions(0, true), ..base.clone() }),
+    ];
+    for kind in BackendKind::all() {
+        let backend = kind.build();
+        for (mode, cfg) in &configs {
+            let reports: Vec<_> = rts.iter().map(|rt| serve(rt, &backend, cfg).unwrap()).collect();
+            assert_eq!(reports[0].completed + reports[0].dropped, 16);
+            if *mode == "continuous" {
+                assert!(reports[0].evictions > 0, "the state budget must bind");
+            }
+            for (threads, r) in [2, 3].into_iter().zip(&reports[1..]) {
+                assert_eq!(
+                    &reports[0],
+                    r,
+                    "{} {mode} report differs between pools of 1 and {threads} workers",
+                    kind.name()
+                );
+                assert_eq!(format!("{:?}", reports[0]), format!("{r:?}"));
+            }
+        }
+    }
+}
+
+/// The capacity probe runs its eight requests as one work-shared pool
+/// batch and sums their costs in id order: bit-equal for every pool size
+/// and to the serial sum.
+#[test]
+fn capacity_probe_is_identical_across_pool_sizes_and_to_the_serial_sum() {
+    let rts = pooled_runtimes(42);
+    let (shards, max_batch, overhead_us) = (2, 8, 50);
+    for kind in BackendKind::all() {
+        let backend = kind.build();
+        let gen = rts[0].generator();
+        let mut total_cost_ns = 0f64;
+        for id in 0..8 {
+            let req = gen.request(id);
+            total_cost_ns +=
+                backend.run(gen.scenario(req.scenario).unwrap(), &req).unwrap().cost_ns as f64;
+        }
+        let batch_ns = overhead_us as f64 * 1e3 + max_batch as f64 * (total_cost_ns / 8.0);
+        let serial = max_batch as f64 / batch_ns * 1e9 * shards as f64;
+        for rt in &rts {
+            let pooled = rt.modeled_capacity_rps(&backend, shards, max_batch, overhead_us).unwrap();
+            assert_eq!(pooled.to_bits(), serial.to_bits(), "{} probe", kind.name());
+        }
+    }
+}
+
+/// A real backend that fails on one seeded request id, with an error or
+/// by panicking, and serves every other request unchanged.
+struct FaultyBackend {
+    inner: Arc<dyn Backend>,
+    fail_id: u64,
+    panic: bool,
+}
+
+impl FaultyBackend {
+    fn error(id: u64) -> ServeError {
+        ServeError::InvalidConfig(format!("injected fault on request {id}"))
+    }
+}
+
+impl Backend for FaultyBackend {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn run(
+        &self,
+        scenario: &SyntheticWorkload,
+        req: &InferenceRequest,
+    ) -> Result<BackendOutput, ServeError> {
+        if req.id == self.fail_id {
+            if self.panic {
+                panic!("injected panic on request {}", req.id);
+            }
+            return Err(Self::error(req.id));
+        }
+        self.inner.run(scenario, req)
+    }
+    fn estimate_cost_ns(&self, scenario: &SyntheticWorkload) -> u64 {
+        self.inner.estimate_cost_ns(scenario)
+    }
+    fn estimate_energy_pj(&self, scenario: &SyntheticWorkload) -> u128 {
+        self.inner.estimate_energy_pj(scenario)
+    }
+    fn reprice(&self, out: BackendOutput, clock: DvfsPoint) -> BackendOutput {
+        self.inner.reprice(out, clock)
+    }
+    fn idle_power_mw(&self, clock: DvfsPoint) -> u64 {
+        self.inner.idle_power_mw(clock)
+    }
+    fn estimate_prefill_ns(&self, scenario: &SyntheticWorkload) -> u64 {
+        self.inner.estimate_prefill_ns(scenario)
+    }
+    fn estimate_decode_ns(&self, scenario: &SyntheticWorkload) -> u64 {
+        self.inner.estimate_decode_ns(scenario)
+    }
+    fn decode_output(&self, prefill: &BackendOutput, iter: u64) -> BackendOutput {
+        self.inner.decode_output(prefill, iter)
+    }
+}
+
+/// Runs the faulty backend through `serve` (one-shot and continuous
+/// sessions) and the capacity probe on pools of 1 and 3 workers, and
+/// hands each result to `check`. Returning at all is the no-hang check.
+fn with_injected_fault(panic: bool, check: impl Fn(&str, Result<f64, ServeError>)) {
+    let fail_id = 5;
+    // Drop-free, so the faulty request is served.
+    let base = ServeConfig {
+        queue_capacity: 64,
+        max_batch: 4,
+        shards: 2,
+        ..ServeConfig::at_load(2_000.0, 12)
+    };
+    let continuous = ServeConfig { sessions: sessions(2, false), ..base.clone() };
+    for threads in [1, 3] {
+        let gen = RequestGenerator::standard(&MsdaConfig::tiny(), 42).unwrap();
+        let rt = ServeRuntime::with_pool_threads(gen, threads);
+        let inner = BackendKind::Pruned.build();
+        let faulty: Arc<dyn Backend> =
+            Arc::new(FaultyBackend { inner: Arc::clone(&inner), fail_id, panic });
+        for (mode, cfg) in [("one-shot", &base), ("continuous", &continuous)] {
+            let served = serve(&rt, &faulty, cfg).map(|r| r.completed as f64);
+            check(&format!("{threads}-worker {mode} serve"), served);
+        }
+        let probed = rt.modeled_capacity_rps(&faulty, 2, 8, 50);
+        check(&format!("{threads}-worker capacity probe"), probed);
+        // The pool outlives the fault: the same runtime still serves the
+        // healthy backend exactly as before.
+        let fresh = runtime(42);
+        assert_eq!(serve(&rt, &inner, &base).unwrap(), serve(&fresh, &inner, &base).unwrap());
+    }
+}
+
+#[test]
+fn a_backend_error_comes_back_unchanged() {
+    with_injected_fault(false, |what, got| {
+        assert_eq!(got, Err(FaultyBackend::error(5)), "{what}");
+    });
+}
+
+#[test]
+fn a_backend_panic_is_a_lost_worker() {
+    with_injected_fault(true, |what, got| {
+        assert!(matches!(got, Err(ServeError::WorkerLost(_))), "{what}: {got:?}");
+    });
 }
