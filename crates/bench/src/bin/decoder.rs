@@ -4,8 +4,9 @@
 use defa_bench::table::{pct, print_table};
 use defa_bench::RunOptions;
 use defa_model::decoder::{DecoderConfig, DecoderWorkload};
-use defa_model::workload::{Benchmark, SyntheticWorkload};
+use defa_model::workload::Benchmark;
 use defa_prune::pap::{point_mask, retained_mass, PapConfig};
+use defa_tensor::Tensor;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opts = RunOptions::from_env();
@@ -14,18 +15,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut rows = Vec::new();
     for bench in Benchmark::all() {
-        let enc = SyntheticWorkload::generate(bench, &cfg, opts.seed)?;
         let dec_cfg = if opts.full {
             DecoderConfig::for_benchmark(bench)
         } else {
             DecoderConfig { n_queries: 60, n_layers: 2 }
         };
         let dec = DecoderWorkload::generate(bench, &cfg, dec_cfg, opts.seed)?;
-        let memory = enc.initial_fmap();
 
-        let out = dec.layers()[0].forward(dec.initial_queries(), memory, None, None)?;
-        let mask = point_mask(&out.probs, PapConfig::paper_default())?;
-        let mass = retained_mass(&out.probs, &mask)?;
+        let mut probs = Tensor::zeros([0]);
+        dec.layers()[0].attention_probs_into(dec.initial_queries(), &mut probs)?;
+        let mask = point_mask(&probs, PapConfig::paper_default())?;
+        let mass = retained_mass(&probs, &mask)?;
         rows.push(vec![
             bench.name().to_string(),
             dec_cfg.n_queries.to_string(),

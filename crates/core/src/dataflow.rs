@@ -11,6 +11,15 @@
 //!
 //! DRAM transfers overlap with compute; only the excess shows up as stall
 //! cycles.
+//!
+//! Two pricings follow this order: [`simulate_block`] (and the
+//! crate-internal `price_block`) for encoder self-attention, where `Q = X`
+//! re-streams from DRAM once per output tile, and `price_cross_block` for
+//! decoder cross-attention, whose few object queries stay on chip while the
+//! value projection streams the memory. Both take stage 4 as a closure: the
+//! accelerator model's runs pass the MSGS engine's sampler that rode on the
+//! functional pipeline's own kept-slot walk, so no block's kept points are
+//! walked a second time.
 
 use crate::msgs::{MsgsEngine, MsgsStats};
 use crate::trace::StageCycles;
@@ -136,57 +145,32 @@ pub(crate) fn price_block(
     dram.write(kept_pixels * d * PRECISION_BITS);
 
     // ---- Stage 4: fused MSGS + aggregation + FWP ------------------------
-    let stats = msgs(counters)?;
-    FmapMaskGenerator::new().run(4 * stats.points, n, counters);
-
-    // ---- DRAM overlap ----------------------------------------------------
-    let transfer_cycles = dram.read_bits().div_ceil(dram.bits_per_cycle())
-        + dram.write_bits().div_ceil(dram.bits_per_cycle());
-    let compute_cycles = (counters.mm_cycles - start.mm_cycles)
-        + (counters.msgs_cycles - start.msgs_cycles)
-        + (counters.softmax_cycles - start.softmax_cycles);
-    stages.dram_stall = transfer_cycles.saturating_sub(compute_cycles);
-    counters.dram_stall_cycles += stages.dram_stall;
-    stages.msgs = stats.cycles + (counters.conflict_stall_cycles - start.conflict_stall_cycles);
-    dram.drain_into(counters);
-    Ok((stats, stages))
+    stage4_and_overlap(n, dram, start, stages, counters, msgs)
 }
 
-/// Simulates one *decoder* cross-attention block: `n_queries` object
-/// queries sample the `cfg`-shaped encoder memory.
+/// Prices one *decoder* cross-attention block: `n_queries` object queries
+/// sample the `cfg`-shaped encoder memory, with stage 4's MSGS simulation
+/// supplied by `msgs` as in [`price_block`].
 ///
 /// The Q-side stages (logit/offset projections, softmax) scale with the
 /// query count, while the value projection and fmap traffic scale with the
 /// memory — the reason decoder MSDeformAttn is far cheaper than encoder
-/// self-attention despite the identical operator.
-///
-/// # Errors
-///
-/// Propagates engine errors; returns [`CoreError::Inconsistent`] on length
-/// mismatches.
-#[allow(clippy::too_many_arguments)] // mirrors simulate_block plus the query count
-pub fn simulate_cross_block(
+/// self-attention despite the identical operator. The queries are small
+/// enough to stay on chip: they stream from DRAM once, where the encoder
+/// re-streams `X` once per output tile.
+pub(crate) fn price_cross_block(
     cfg: &MsdaConfig,
     n_queries: usize,
-    engine: &MsgsEngine,
     pe: &PeArray,
-    locations: &[SamplePoint],
-    keep: &[bool],
     pruning: BlockPruning,
     counters: &mut EventCounters,
+    msgs: impl FnOnce(&mut EventCounters) -> Result<MsgsStats, CoreError>,
 ) -> Result<(MsgsStats, StageCycles), CoreError> {
     let mut stages = StageCycles::default();
     let nq = n_queries as u64;
     let nmem = cfg.n_in() as u64;
     let d = cfg.d_model as u64;
     let ppq = cfg.points_per_query() as u64;
-    if locations.len() != n_queries * ppq as usize {
-        return Err(CoreError::Inconsistent(format!(
-            "{} locations for {} queries x {ppq} points",
-            locations.len(),
-            n_queries
-        )));
-    }
     let softmax = SoftmaxUnit::new();
     let mut dram = Dram::hbm2();
     let start = *counters;
@@ -223,8 +207,23 @@ pub fn simulate_cross_block(
     dram.write(kept_pixels * d * PRECISION_BITS);
 
     // Stage 4: fused MSGS + aggregation over the query samples.
-    let stats = engine.run_block(locations, keep, pruning.pixel_keep, counters)?;
-    FmapMaskGenerator::new().run(4 * stats.points, nmem, counters);
+    stage4_and_overlap(nmem, dram, start, stages, counters, msgs)
+}
+
+/// The end both pricings share: stage 4 (`msgs`, then FWP's counting of
+/// the sampled points over the `n_pixels` memory pixels), then the DRAM
+/// transfers of `dram` overlapped with the compute since `start`, only the
+/// excess charged as stall cycles.
+fn stage4_and_overlap(
+    n_pixels: u64,
+    mut dram: Dram,
+    start: EventCounters,
+    mut stages: StageCycles,
+    counters: &mut EventCounters,
+    msgs: impl FnOnce(&mut EventCounters) -> Result<MsgsStats, CoreError>,
+) -> Result<(MsgsStats, StageCycles), CoreError> {
+    let stats = msgs(counters)?;
+    FmapMaskGenerator::new().run(4 * stats.points, n_pixels, counters);
 
     let transfer_cycles = dram.read_bits().div_ceil(dram.bits_per_cycle())
         + dram.write_bits().div_ceil(dram.bits_per_cycle());

@@ -35,7 +35,7 @@ use defa_model::reference::{walk_kept_points, KeptLanes, LaneVisitor, Stage4Visi
 use defa_model::sampling::for_each_kept;
 use defa_model::{MsdaConfig, SamplePoint};
 use defa_prune::RangeConfig;
-use std::ops::Range;
+use std::ops::{AddAssign, Range};
 
 // A footprint's banks are a `u16` set.
 const _: () = assert!(N_BANKS <= 16);
@@ -84,6 +84,17 @@ pub struct MsgsStats {
     pub fmap_fetch_bits: u64,
     /// Sampling-value round-trip bits (zero when fused).
     pub spill_bits: u64,
+}
+
+impl AddAssign for MsgsStats {
+    fn add_assign(&mut self, rhs: Self) {
+        self.groups += rhs.groups;
+        self.points += rhs.points;
+        self.cycles += rhs.cycles;
+        self.conflicts += rhs.conflicts;
+        self.fmap_fetch_bits += rhs.fmap_fetch_bits;
+        self.spill_bits += rhs.spill_bits;
+    }
 }
 
 impl MsgsStats {
@@ -377,10 +388,7 @@ impl<'e> Stage4Visitor for BlockSampler<'e> {
             if self.error.is_none() {
                 self.error = error;
             }
-            self.stats.groups += stats.groups;
-            self.stats.points += stats.points;
-            self.stats.cycles += stats.cycles;
-            self.stats.conflicts += stats.conflicts;
+            self.stats += stats;
             self.counters += counters;
         }
     }

@@ -1,6 +1,6 @@
 //! End-to-end accelerator runs: functional pruning + cycle/energy model.
 
-use crate::dataflow::{price_block, BlockPruning};
+use crate::dataflow::{price_block, price_cross_block, BlockPruning};
 use crate::msgs::{MsgsEngine, MsgsSettings, MsgsStats};
 use crate::report::RunReport;
 use crate::trace::StageCycles;
@@ -12,7 +12,9 @@ use defa_model::encoder::run_encoder_observed_from;
 use defa_model::flops::BlockFlops;
 use defa_model::workload::SyntheticWorkload;
 use defa_model::MsdaConfig;
-use defa_prune::pipeline::{run_pruned_encoder_visited_from, PruneSettings};
+use defa_prune::pipeline::{
+    run_pruned_decoder_visited, run_pruned_encoder_visited_from, BlockPruneInfo, PruneSettings,
+};
 use defa_prune::RangeConfig;
 
 /// A hardware run plus the functional output it computed.
@@ -119,17 +121,12 @@ impl DefaAccelerator {
         let cfg = wl.config();
         let engine = MsgsEngine::new(cfg, self.msgs)?;
         let pe = self.pe;
-        let flops = BlockFlops::for_config(cfg);
-
-        let mut counters = EventCounters::new();
-        let mut msgs_total = MsgsStats::default();
-        let mut stages_total = StageCycles::default();
-        let mut sim_error: Option<CoreError> = None;
+        let n = cfg.n_in();
 
         // Stage 4 of every block walks its kept slots once: the engine's
         // sampler rides on the pipeline's walk beside the aggregation and
         // FWP counting, and the block is priced from what it saw.
-        let n = cfg.n_in();
+        let mut tally = Tally::default();
         let mut sampler = engine.sampler();
         let run = run_pruned_encoder_visited_from(
             wl,
@@ -137,33 +134,13 @@ impl DefaAccelerator {
             initial,
             &mut sampler,
             |_k, _, info, sampler| {
-                if sim_error.is_some() {
-                    return;
-                }
-                let keep = info.point_mask.as_bools();
-                let pruning = BlockPruning {
-                    point_keep: info.point_mask.keep_fraction(),
-                    pixel_keep: info.fmap_mask.keep_fraction(),
-                };
-                match price_block(cfg, &pe, pruning, &mut counters, |c| {
-                    sampler.settle(n, keep, pruning.pixel_keep, c)
-                }) {
-                    Ok((stats, stages)) => {
-                        stages_total += stages;
-                        msgs_total.groups += stats.groups;
-                        msgs_total.points += stats.points;
-                        msgs_total.cycles += stats.cycles;
-                        msgs_total.conflicts += stats.conflicts;
-                        msgs_total.fmap_fetch_bits += stats.fmap_fetch_bits;
-                        msgs_total.spill_bits += stats.spill_bits;
-                    }
-                    Err(e) => sim_error = Some(e),
-                }
+                tally.block(info, |pruning, counters| {
+                    price_block(cfg, &pe, pruning, counters, |c| {
+                        sampler.settle(n, info.point_mask.as_bools(), pruning.pixel_keep, c)
+                    })
+                })
             },
         )?;
-        if let Some(e) = sim_error {
-            return Err(e);
-        }
 
         let fidelity_error = if self.measure_fidelity {
             let exact = run_encoder_observed_from(wl, initial, |_, _| {})?;
@@ -175,21 +152,7 @@ impl DefaAccelerator {
         } else {
             None
         };
-
-        let energy = self.energy.price(&counters);
-        let area = self.area.price(&Self::sram_inventory(cfg), &self.pe);
-        let report = RunReport {
-            benchmark: wl.benchmark(),
-            counters,
-            msgs: msgs_total,
-            energy,
-            area,
-            reduction: run.stats,
-            stages: stages_total,
-            fidelity_error,
-            dense_flops: flops.attention_only() * cfg.n_layers as u64,
-            clock_hz: CLOCK_HZ,
-        };
+        let report = self.report(cfg, wl.benchmark(), tally, run.stats, fidelity_error)?;
         Ok(WorkloadRun { report, final_features: run.final_features })
     }
 
@@ -197,9 +160,15 @@ impl DefaAccelerator {
     /// memory) on the hardware model — the extension beyond the paper's
     /// encoder-only evaluation (§5.1.1).
     ///
-    /// PAP masks are generated per decoder layer from the cross-attention
-    /// probabilities; FWP propagates memory masks between decoder layers
-    /// from the sampled frequencies, exactly as in the encoder schedule.
+    /// The functional run is [`run_pruned_decoder_visited`]: the encoder's
+    /// per-block schedule with the object queries as `Q`, so PAP masks each
+    /// layer's points from its cross-attention probabilities, FWP masks
+    /// the memory pixels of the next layer from the sampled frequencies,
+    /// and both reach the features. The engine's sampler rides on each
+    /// block's one kept-slot walk, and the block is priced with the
+    /// decoder's own DRAM/SRAM rules (the queries stay on chip). The
+    /// decoder applies no range narrowing or quantization, and the report
+    /// carries no fidelity number.
     ///
     /// # Errors
     ///
@@ -210,88 +179,93 @@ impl DefaAccelerator {
         memory: &defa_model::FmapPyramid,
         prune: &PruneSettings,
     ) -> Result<RunReport, CoreError> {
-        use defa_prune::fwp::SampleFrequency;
-        use defa_prune::pap::{point_mask, retained_mass};
-        use defa_prune::BitMask;
+        let cfg = dec.config();
+        let nq = dec.n_queries();
+        let engine = MsgsEngine::new(cfg, self.msgs)?;
+        let pe = self.pe;
 
-        let first = dec
-            .layers()
-            .first()
-            .ok_or_else(|| CoreError::Inconsistent("decoder workload has no layers".into()))?;
-        let cfg = first.inner().config().clone();
-        let nq = first.n_queries();
-        let ppq = cfg.points_per_query();
-        let engine = MsgsEngine::new(&cfg, self.msgs)?;
+        let mut tally = Tally::default();
+        let mut sampler = engine.sampler();
+        let run = run_pruned_decoder_visited(
+            dec,
+            prune,
+            memory,
+            &mut sampler,
+            |_k, _, info, sampler| {
+                tally.block(info, |pruning, counters| {
+                    price_cross_block(cfg, nq, &pe, pruning, counters, |c| {
+                        sampler.settle(nq, info.point_mask.as_bools(), pruning.pixel_keep, c)
+                    })
+                })
+            },
+        )?;
+        self.report(cfg, defa_model::workload::Benchmark::DeformableDetr, tally, run.stats, None)
+    }
 
-        let mut counters = EventCounters::new();
-        let mut msgs_total = MsgsStats::default();
-        let mut stages_total = StageCycles::default();
-        let mut reduction = defa_prune::ReductionStats::new();
-        let flops = BlockFlops::for_config(&cfg);
-
-        let mut q = dec.initial_queries().clone();
-        let mut memory_mask = BitMask::keep_all(cfg.n_in());
-        for layer in dec.layers() {
-            let out = layer.forward(&q, memory, Some(memory_mask.as_bools()), None)?;
-            let pmask = match prune.pap {
-                Some(pap) => point_mask(&out.probs, pap)?,
-                None => BitMask::keep_all(nq * ppq),
-            };
-            let pruning = crate::dataflow::BlockPruning {
-                point_keep: pmask.keep_fraction(),
-                pixel_keep: memory_mask.keep_fraction(),
-            };
-            let (stats, stages) = crate::dataflow::simulate_cross_block(
-                &cfg,
-                nq,
-                &engine,
-                &self.pe,
-                &out.locations,
-                pmask.as_bools(),
-                pruning,
-                &mut counters,
-            )?;
-            stages_total += stages;
-            msgs_total.groups += stats.groups;
-            msgs_total.points += stats.points;
-            msgs_total.cycles += stats.cycles;
-            msgs_total.conflicts += stats.conflicts;
-            msgs_total.fmap_fetch_bits += stats.fmap_fetch_bits;
-            msgs_total.spill_bits += stats.spill_bits;
-
-            reduction.record_block(
-                &flops,
-                (nq * ppq) as u64,
-                pmask.kept() as u64,
-                cfg.n_in() as u64,
-                memory_mask.kept() as u64,
-                prune.fwp.is_some(),
-                0,
-                retained_mass(&out.probs, &pmask)?,
-            );
-
-            if let Some(fwp) = prune.fwp {
-                let mut freq = SampleFrequency::new(&cfg)?;
-                freq.record_all(&cfg, &out.locations, Some(pmask.as_bools()))?;
-                memory_mask = freq.fmap_mask(fwp)?;
-            }
-            q = defa_model::encoder::block_update(&q, &out.output)?;
+    /// Prices the run's counters and assembles its report; returns the
+    /// first block's pricing error instead, if any block had one.
+    fn report(
+        &self,
+        cfg: &MsdaConfig,
+        benchmark: defa_model::workload::Benchmark,
+        tally: Tally,
+        reduction: defa_prune::ReductionStats,
+        fidelity_error: Option<f32>,
+    ) -> Result<RunReport, CoreError> {
+        if let Some(e) = tally.error {
+            return Err(e);
         }
-
-        let energy = self.energy.price(&counters);
-        let area = self.area.price(&Self::sram_inventory(&cfg), &self.pe);
+        let flops = BlockFlops::for_config(cfg);
         Ok(RunReport {
-            benchmark: defa_model::workload::Benchmark::DeformableDetr,
-            counters,
-            msgs: msgs_total,
-            energy,
-            area,
+            benchmark,
+            energy: self.energy.price(&tally.counters),
+            area: self.area.price(&Self::sram_inventory(cfg), &self.pe),
+            counters: tally.counters,
+            msgs: tally.msgs,
+            stages: tally.stages,
+            dense_flops: flops.attention_only() * u64::from(reduction.blocks),
             reduction,
-            stages: stages_total,
-            fidelity_error: None,
-            dense_flops: flops.attention_only() * dec.layers().len() as u64,
+            fidelity_error,
             clock_hz: CLOCK_HZ,
         })
+    }
+}
+
+/// What the cycle model accumulates over a run's blocks.
+#[derive(Default)]
+struct Tally {
+    counters: EventCounters,
+    msgs: MsgsStats,
+    stages: StageCycles,
+    /// The first block's pricing error; later blocks are not priced.
+    error: Option<CoreError>,
+}
+
+impl Tally {
+    /// Prices one block with `price`, given the block's keep fractions and
+    /// the run's counters.
+    fn block(
+        &mut self,
+        info: &BlockPruneInfo,
+        price: impl FnOnce(
+            BlockPruning,
+            &mut EventCounters,
+        ) -> Result<(MsgsStats, StageCycles), CoreError>,
+    ) {
+        if self.error.is_some() {
+            return;
+        }
+        let pruning = BlockPruning {
+            point_keep: info.point_mask.keep_fraction(),
+            pixel_keep: info.fmap_mask.keep_fraction(),
+        };
+        match price(pruning, &mut self.counters) {
+            Ok((msgs, stages)) => {
+                self.msgs += msgs;
+                self.stages += stages;
+            }
+            Err(e) => self.error = Some(e),
+        }
     }
 }
 
@@ -421,10 +395,9 @@ mod tests {
         assert!(report.msgs.points < enc_report.msgs.points);
     }
 
-    /// The decoder's hardware replay, pinned: moving the cross-attention
-    /// onto shared pipeline stages must leave its report unchanged.
-    #[test]
-    fn decoder_report_is_pinned() {
+    /// A decoder report on the small configuration's refined encoder
+    /// memory: 50 object queries, `n_layers` layers, paper settings.
+    fn decoder_report(n_layers: usize) -> RunReport {
         use defa_model::decoder::{DecoderConfig, DecoderWorkload};
         use defa_model::encoder::run_encoder_observed_from;
         let cfg = MsdaConfig::small();
@@ -432,21 +405,52 @@ mod tests {
         let enc = SyntheticWorkload::generate(bench, &cfg, 42).unwrap();
         let memory = run_encoder_observed_from(&enc, enc.initial_fmap(), |_, _| {}).unwrap();
         let memory = defa_model::FmapPyramid::from_tensor(&cfg, memory).unwrap();
-        let shape = DecoderConfig { n_queries: 50, n_layers: 2 };
+        let shape = DecoderConfig { n_queries: 50, n_layers };
         let dec = DecoderWorkload::generate(bench, &cfg, shape, 42).unwrap();
         let accel = DefaAccelerator { measure_fidelity: false, ..DefaAccelerator::paper_default() };
-        let r =
-            accel.run_decoder_workload(&dec, &memory, &PruneSettings::paper_defaults()).unwrap();
+        accel.run_decoder_workload(&dec, &memory, &PruneSettings::paper_defaults()).unwrap()
+    }
+
+    /// The first decoder block has no earlier block whose masks could
+    /// change its queries: pinned in every counter, with no pixel
+    /// accounted because block 0 never receives an FWP mask.
+    #[test]
+    fn decoder_first_block_is_pinned() {
+        let r = decoder_report(1);
+        let c = r.counters;
+        let macs_and_bits = (c.mm_macs, c.ba_channel_ops, c.sram_read_bits, c.sram_write_bits);
+        assert_eq!(macs_and_bits, (4_790_400, 12_680, 3_067_136, 1_778_100));
+        let dram_and_cycles = (c.dram_read_bits, c.dram_write_bits, c.mm_cycles, c.msgs_cycles);
+        assert_eq!(dram_and_cycles, (2_734_584, 821_760, 18_713, 1_070));
+        assert_eq!((c.softmax_elems, c.softmax_cycles, c.dram_stall_cycles), (6_400, 400, 0));
+        assert_eq!((c.bank_conflicts, c.conflict_stall_cycles), (0, 0));
+        let m = r.msgs;
+        assert_eq!((m.groups, m.points, m.cycles, m.conflicts), (1_070, 1_585, 1_070, 0));
+        assert_eq!((m.fmap_fetch_bits, m.spill_bits), (783_360, 0));
+        let red = r.reduction;
+        assert_eq!((red.points_kept, red.flops_pruned), (1_585, 36_971_328));
+        assert_eq!((red.pixels_total, red.pixels_kept), (0, 0));
+        // The fused per-row mass sum; `retained_mass`'s element-order sum
+        // over the same probabilities reads 0.971384262405048.
+        assert_eq!(red.retained_mass_sum, 0.9713842624050483);
+    }
+
+    /// The decoder's hardware replay over two blocks, pinned. Block 1's
+    /// queries come from block 0's PAP-masked output, and only block 1 has
+    /// an FWP mask to account.
+    #[test]
+    fn decoder_report_is_pinned() {
+        let r = decoder_report(2);
         let counters = EventCounters {
-            mm_macs: 7_292_672,
-            ba_channel_ops: 19_568,
+            mm_macs: 7_292_288,
+            ba_channel_ops: 19_544,
             softmax_elems: 12_800,
-            sram_read_bits: 4_731_776,
-            sram_write_bits: 2_692_360,
+            sram_read_bits: 4_729_376,
+            sram_write_bits: 2_692_192,
             dram_read_bits: 4_234_224,
             dram_write_bits: 1_231_872,
-            mm_cycles: 28_488,
-            msgs_cycles: 1_813,
+            mm_cycles: 28_486,
+            msgs_cycles: 1_811,
             softmax_cycles: 800,
             dram_stall_cycles: 0,
             bank_conflicts: 0,
@@ -454,9 +458,9 @@ mod tests {
         };
         assert_eq!(r.counters, counters);
         let msgs = MsgsStats {
-            groups: 1_813,
-            points: 2_446,
-            cycles: 1_813,
+            groups: 1_811,
+            points: 2_443,
+            cycles: 1_811,
             conflicts: 0,
             fmap_fetch_bits: 1_155_072,
             spill_bits: 0,
@@ -464,10 +468,10 @@ mod tests {
         assert_eq!(r.msgs, msgs);
         let red = r.reduction;
         assert_eq!(
-            (red.points_kept, red.pixels_kept, red.flops_pruned),
-            (2_446, 1_504, 64_352_846)
+            (red.points_kept, red.pixels_total, red.pixels_kept, red.flops_pruned),
+            (2_443, 1_020, 484, 64_331_304)
         );
         // The probability mass PAP kept, summed over the two blocks.
-        assert_eq!(red.retained_mass_sum, 1.9572272860262);
+        assert_eq!(red.retained_mass_sum, 1.9572001187628716);
     }
 }

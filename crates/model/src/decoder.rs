@@ -3,18 +3,23 @@
 //! The paper evaluates MSDeformAttn in the *encoders* (§5.1.1), but the
 //! DETR-family decoders use the same operator as cross-attention: a few
 //! hundred object queries — each with a learned normalized reference point
-//! — sample the encoder's multi-scale memory. This module implements that
-//! variant so downstream users can run full detector stacks; the pruning
-//! algorithms apply unchanged (PAP on the query probabilities, FWP on the
-//! memory pixels across decoder blocks).
+//! — sample the encoder's multi-scale memory. This module generates that
+//! variant so downstream users can run full detector stacks. Its layers are
+//! [`MsdaLayer`]s whose queries are the object queries
+//! ([`MsdaLayer::with_references`]), and it has no forward of its own:
+//! [`DecoderWorkload::run`] is the exact reference, and the pruned run is
+//! `defa_prune::pipeline::run_pruned_decoder_visited`, the encoder's
+//! per-block schedule with `Q ≠ X`. There PAP masks each layer's points
+//! from its own probabilities and FWP masks the memory pixels of the next
+//! layer, and both reach the features. The decoder applies no saliency
+//! warp, no range narrowing and no quantization.
 
-use crate::reference::{MsdaLayer, MsdaWeights};
-use crate::sampling::{query_sample_points_into, RefPoint};
+use crate::encoder::block_update;
+use crate::reference::{with_layer_buffers, MsdaLayer, MsdaWeights};
+use crate::sampling::RefPoint;
 use crate::workload::Benchmark;
-use crate::{FmapPyramid, ModelError, MsdaConfig, SamplePoint};
-use defa_tensor::matmul::{matmul, matmul_row_masked};
+use crate::{FmapPyramid, ModelError, MsdaConfig};
 use defa_tensor::rng::TensorRng;
-use defa_tensor::softmax::softmax_heads;
 use defa_tensor::Tensor;
 
 /// Decoder stack shape.
@@ -55,129 +60,11 @@ impl DecoderConfig {
     }
 }
 
-/// One decoder cross-attention layer: object queries sampling the encoder
-/// memory.
-#[derive(Debug, Clone)]
-pub struct CrossMsdaLayer {
-    inner: MsdaLayer,
-    references: Vec<RefPoint>,
-}
-
-impl CrossMsdaLayer {
-    /// Creates a cross-attention layer over `cfg`-shaped memory with one
-    /// learned reference point per query.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and weight validation failures; rejects an
-    /// empty reference list.
-    pub fn new(
-        cfg: MsdaConfig,
-        weights: MsdaWeights,
-        references: Vec<RefPoint>,
-    ) -> Result<Self, ModelError> {
-        if references.is_empty() {
-            return Err(ModelError::InvalidConfig("no query reference points".into()));
-        }
-        Ok(CrossMsdaLayer { inner: MsdaLayer::new(cfg, weights)?, references })
-    }
-
-    /// Number of object queries.
-    pub fn n_queries(&self) -> usize {
-        self.references.len()
-    }
-
-    /// The learned reference points.
-    pub fn references(&self) -> &[RefPoint] {
-        &self.references
-    }
-
-    /// The shared MSDeformAttn machinery (weights, config).
-    pub fn inner(&self) -> &MsdaLayer {
-        &self.inner
-    }
-
-    /// Cross-attention forward: `queries` is `[N_q, D]`, `memory` the
-    /// encoder output pyramid. Optional masks follow the encoder
-    /// conventions (`memory_mask` over tokens, `point_mask` over
-    /// `N_q · points_per_query` slots).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::ShapeMismatch`] on any disagreement.
-    pub fn forward(
-        &self,
-        queries: &Tensor,
-        memory: &FmapPyramid,
-        memory_mask: Option<&[bool]>,
-        point_mask: Option<&[bool]>,
-    ) -> Result<CrossLayerOutput, ModelError> {
-        let cfg = self.inner.config();
-        let nq = self.n_queries();
-        let ppq = cfg.points_per_query();
-        if queries.shape().dims() != [nq, cfg.d_model] {
-            return Err(ModelError::ShapeMismatch(format!(
-                "queries {} expected [{nq}, {}]",
-                queries.shape(),
-                cfg.d_model
-            )));
-        }
-        if memory.n_in() != cfg.n_in() || memory.d() != cfg.d_model {
-            return Err(ModelError::ShapeMismatch(format!(
-                "memory [{} x {}] does not match config",
-                memory.n_in(),
-                memory.d()
-            )));
-        }
-        if let Some(pm) = point_mask {
-            if pm.len() != nq * ppq {
-                return Err(ModelError::ShapeMismatch(format!(
-                    "point mask length {} expected {}",
-                    pm.len(),
-                    nq * ppq
-                )));
-            }
-        }
-
-        let w = self.inner.weights();
-        let mut probs = matmul(queries, &w.w_attn)?;
-        softmax_heads(&mut probs, cfg.points_per_head())?;
-
-        let offsets = matmul(queries, &w.w_offset)?;
-        let mut locations = vec![SamplePoint::new(0, 0.0, 0.0); nq * ppq];
-        for ((pts, &reference), offs) in locations
-            .chunks_exact_mut(ppq)
-            .zip(&self.references)
-            .zip(offsets.as_slice().chunks_exact(2 * ppq))
-        {
-            query_sample_points_into(cfg, reference, offs, pts);
-        }
-
-        let value = match memory_mask {
-            Some(mm) => matmul_row_masked(memory.tensor(), &w.w_value, mm)?,
-            None => matmul(memory.tensor(), &w.w_value)?,
-        };
-
-        let output = self.inner.sample_and_aggregate(&probs, &locations, &value, point_mask)?;
-        Ok(CrossLayerOutput { probs, locations, output })
-    }
-}
-
-/// Output of one cross-attention layer.
-#[derive(Debug, Clone)]
-pub struct CrossLayerOutput {
-    /// Per-head attention probabilities, `[N_q, N_h·N_l·N_p]`.
-    pub probs: Tensor,
-    /// Sampling locations, `N_q · points_per_query` entries.
-    pub locations: Vec<SamplePoint>,
-    /// Attended output, `[N_q, D]`.
-    pub output: Tensor,
-}
-
 /// A complete synthetic decoder stack for one benchmark.
 #[derive(Debug, Clone)]
 pub struct DecoderWorkload {
-    layers: Vec<CrossMsdaLayer>,
+    cfg: MsdaConfig,
+    layers: Vec<MsdaLayer>,
     initial_queries: Tensor,
 }
 
@@ -216,14 +103,25 @@ impl DecoderWorkload {
                 w_offset: rng.normal([d, 2 * cfg.points_per_query()], 0.0, offset_w_std),
                 w_value: rng.normal([d, d], 0.0, value_w_std),
             };
-            layers.push(CrossMsdaLayer::new(cfg.clone(), weights, references.clone())?);
+            layers.push(MsdaLayer::with_references(cfg.clone(), weights, references.clone())?);
         }
         let initial_queries = rng.uniform([dec.n_queries, d], -1.0, 1.0);
-        Ok(DecoderWorkload { layers, initial_queries })
+        Ok(DecoderWorkload { cfg: cfg.clone(), layers, initial_queries })
     }
 
-    /// Decoder layers in execution order.
-    pub fn layers(&self) -> &[CrossMsdaLayer] {
+    /// The shape of the memory every layer samples.
+    pub fn config(&self) -> &MsdaConfig {
+        &self.cfg
+    }
+
+    /// Number of object queries.
+    pub fn n_queries(&self) -> usize {
+        self.initial_queries.shape().dims()[0]
+    }
+
+    /// Decoder layers in execution order; each layer's references are the
+    /// object queries' learned reference points.
+    pub fn layers(&self) -> &[MsdaLayer] {
         &self.layers
     }
 
@@ -232,25 +130,29 @@ impl DecoderWorkload {
         &self.initial_queries
     }
 
-    /// Runs the full decoder over a fixed encoder memory, returning the
-    /// final query embeddings.
+    /// Runs the full decoder exactly (no pruning) over a fixed encoder
+    /// memory, returning the final query embeddings.
     ///
     /// # Errors
     ///
-    /// Propagates layer evaluation failures.
+    /// Propagates layer evaluation failures, such as a memory that does not
+    /// have the decoder's configured shape.
     pub fn run(&self, memory: &FmapPyramid) -> Result<Tensor, ModelError> {
-        let mut q = self.initial_queries.clone();
-        for layer in &self.layers {
-            let out = layer.forward(&q, memory, None, None)?;
-            q = crate::encoder::block_update(&q, &out.output)?;
-        }
-        Ok(q)
+        with_layer_buffers(|out| {
+            let mut q = self.initial_queries.clone();
+            for layer in &self.layers {
+                layer.forward_into(&q, memory, None, out)?;
+                q = block_update(&q, &out.output)?;
+            }
+            Ok(q)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::LayerOutput;
     use crate::workload::SyntheticWorkload;
 
     fn setup() -> (MsdaConfig, DecoderWorkload, FmapPyramid) {
@@ -261,6 +163,12 @@ mod tests {
                 .unwrap();
         let memory = enc.initial_fmap().clone();
         (cfg, dec, memory)
+    }
+
+    fn first_layer(dec: &DecoderWorkload, memory: &FmapPyramid) -> LayerOutput {
+        let mut out = LayerOutput::empty();
+        dec.layers()[0].forward_into(dec.initial_queries(), memory, None, &mut out).unwrap();
+        out
     }
 
     #[test]
@@ -274,9 +182,9 @@ mod tests {
     #[test]
     fn cross_layer_probs_normalize_per_head() {
         let (cfg, dec, memory) = setup();
-        let out = dec.layers()[0].forward(dec.initial_queries(), &memory, None, None).unwrap();
+        let out = first_layer(&dec, &memory);
         let lp = cfg.points_per_head();
-        for q in 0..dec.layers()[0].n_queries() {
+        for q in 0..dec.n_queries() {
             let row = out.probs.row(q).unwrap();
             for h in 0..cfg.n_heads {
                 let s: f32 = row[h * lp..(h + 1) * lp].iter().sum();
@@ -288,23 +196,9 @@ mod tests {
     #[test]
     fn locations_count_matches_queries() {
         let (cfg, dec, memory) = setup();
-        let out = dec.layers()[0].forward(dec.initial_queries(), &memory, None, None).unwrap();
+        let out = first_layer(&dec, &memory);
         assert_eq!(out.locations.len(), 12 * cfg.points_per_query());
-    }
-
-    #[test]
-    fn masks_apply_to_cross_attention() {
-        let (cfg, dec, memory) = setup();
-        let layer = &dec.layers()[0];
-        let exact = layer.forward(dec.initial_queries(), &memory, None, None).unwrap();
-        let all_mem = vec![true; cfg.n_in()];
-        let all_pts = vec![true; 12 * cfg.points_per_query()];
-        let masked =
-            layer.forward(dec.initial_queries(), &memory, Some(&all_mem), Some(&all_pts)).unwrap();
-        assert!(masked.output.relative_l2_error(&exact.output).unwrap() < 1e-6);
-        let no_pts = vec![false; 12 * cfg.points_per_query()];
-        let zero = layer.forward(dec.initial_queries(), &memory, None, Some(&no_pts)).unwrap();
-        assert_eq!(zero.output.max_abs(), 0.0);
+        assert_eq!(out.value.shape().dims(), &[cfg.n_in(), cfg.d_model]);
     }
 
     #[test]
@@ -315,17 +209,13 @@ mod tests {
 
     #[test]
     fn shape_validation_rejects_wrong_queries() {
-        let (_, dec, memory) = setup();
-        let bad = Tensor::zeros([5, 16]);
-        assert!(dec.layers()[0].forward(&bad, &memory, None, None).is_err());
-    }
-
-    #[test]
-    fn wrong_point_mask_length_is_rejected() {
-        let (_, dec, memory) = setup();
-        let short = vec![true; 3];
-        assert!(dec.layers()[0]
-            .forward(dec.initial_queries(), &memory, None, Some(&short))
-            .is_err());
+        let (cfg, dec, memory) = setup();
+        let mut out = LayerOutput::empty();
+        let bad = Tensor::zeros([5, cfg.d_model]);
+        assert!(dec.layers()[0].forward_into(&bad, &memory, None, &mut out).is_err());
+        let other = MsdaConfig::small();
+        let wrong_memory =
+            FmapPyramid::from_tensor(&other, Tensor::zeros([other.n_in(), other.d_model])).unwrap();
+        assert!(dec.run(&wrong_memory).is_err());
     }
 }

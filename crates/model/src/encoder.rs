@@ -125,7 +125,7 @@ fn run_blocks(
     let mut x: Option<FmapPyramid> = None;
     for k in 0..cfg.n_layers {
         let cur = x.as_ref().unwrap_or(initial);
-        wl.layer(k)?.forward_into(cur, Some(wl.warp()), out)?;
+        wl.layer(k)?.forward_into(cur.tensor(), cur, Some(wl.warp()), out)?;
         let next = block_update(cur.tensor(), &out.output)?;
         observe(k, out);
         x = Some(FmapPyramid::from_tensor(cfg, next)?);

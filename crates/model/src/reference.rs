@@ -271,11 +271,13 @@ impl MsdaWeights {
 /// Intermediates are exposed deliberately (C-INTERMEDIATE): the pruning
 /// algorithms consume `probs` and `locations`, the accelerator model
 /// consumes `value` and `locations`, and the tests compare `output`.
+/// `N_q` is the query count: `N_in` in encoder self-attention, the object
+/// query count in decoder cross-attention.
 #[derive(Debug, Clone)]
 pub struct LayerOutput {
-    /// Per-head softmax probabilities, `[N_in, N_h·N_l·N_p]`.
+    /// Per-head softmax probabilities, `[N_q, N_h·N_l·N_p]`.
     pub probs: Tensor,
-    /// Sampling offsets, `[N_in, 2·N_h·N_l·N_p]`. Dense in every run,
+    /// Sampling offsets, `[N_q, 2·N_h·N_l·N_p]`. Dense in every run,
     /// pruned or not.
     pub offsets: Tensor,
     /// Sampling locations, one per `(query, head, level, point)` in
@@ -283,9 +285,9 @@ pub struct LayerOutput {
     /// point mask's kept slots are located; pruned slots hold
     /// `SamplePoint::new(0, 0.0, 0.0)`.
     pub locations: Vec<SamplePoint>,
-    /// Projected values `V = X·Wᵥ`, `[N_in, D]`.
+    /// Projected values `V = X·Wᵥ` of the memory, `[N_in, D]`.
     pub value: Tensor,
-    /// Attention output, `[N_in, D]`.
+    /// Attention output, `[N_q, D]`.
     pub output: Tensor,
 }
 
@@ -348,7 +350,12 @@ pub fn with_layer_buffers<R>(f: impl FnOnce(&mut LayerOutput) -> R) -> R {
     r
 }
 
-/// One MSDeformAttn layer: configuration plus weights.
+/// One MSDeformAttn layer: configuration, weights and one reference point
+/// per query.
+///
+/// An encoder layer's queries are the memory's own tokens (`Q = X`); a
+/// decoder cross-attention layer's are object queries with learned
+/// reference points, sampling a memory of `cfg`'s shape.
 #[derive(Debug, Clone)]
 pub struct MsdaLayer {
     cfg: MsdaConfig,
@@ -357,7 +364,8 @@ pub struct MsdaLayer {
 }
 
 impl MsdaLayer {
-    /// Creates a layer after validating configuration and weight shapes.
+    /// Creates an encoder self-attention layer, one query per token, after
+    /// validating configuration and weight shapes.
     ///
     /// # Errors
     ///
@@ -365,8 +373,27 @@ impl MsdaLayer {
     /// [`MsdaWeights::validate`].
     pub fn new(cfg: MsdaConfig, weights: MsdaWeights) -> Result<Self, ModelError> {
         cfg.validate()?;
-        weights.validate(&cfg)?;
         let references = reference_points(&cfg)?;
+        Self::with_references(cfg, weights, references)
+    }
+
+    /// Creates a cross-attention layer whose queries have the given
+    /// normalized reference points and sample a `cfg`-shaped memory.
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](Self::new); also [`ModelError::InvalidConfig`] for an
+    /// empty reference list.
+    pub fn with_references(
+        cfg: MsdaConfig,
+        weights: MsdaWeights,
+        references: Vec<RefPoint>,
+    ) -> Result<Self, ModelError> {
+        cfg.validate()?;
+        weights.validate(&cfg)?;
+        if references.is_empty() {
+            return Err(ModelError::InvalidConfig("no query reference points".into()));
+        }
         Ok(MsdaLayer { cfg, weights, references })
     }
 
@@ -385,7 +412,7 @@ impl MsdaLayer {
         &self.references
     }
 
-    /// Evaluates the layer exactly (no pruning).
+    /// Evaluates an encoder layer exactly (no pruning).
     ///
     /// In the encoder, queries and feature map coincide: `Q = X`. The
     /// stages run in the DEFA dataflow order (§4.1): probabilities, offset
@@ -401,26 +428,28 @@ impl MsdaLayer {
         warp: Option<&SaliencyWarp>,
     ) -> Result<LayerOutput, ModelError> {
         let mut out = LayerOutput::empty();
-        self.forward_into(x, warp, &mut out)?;
+        self.forward_into(x.tensor(), x, warp, &mut out)?;
         Ok(out)
     }
 
-    /// [`forward`](Self::forward) into caller-provided buffers (such as
-    /// [`with_layer_buffers`]'s), each resized reusing its allocation
-    /// and overwritten.
+    /// The exact evaluation with `queries` (`[N_q, D]`, one row per
+    /// reference point) attending into `memory`, into caller-provided
+    /// buffers (such as [`with_layer_buffers`]'s), each resized reusing
+    /// its allocation and overwritten. [`forward`](Self::forward) is this
+    /// with `queries = x.tensor()` and `memory = x`.
     ///
     /// # Errors
     ///
     /// As [`forward`](Self::forward).
     pub fn forward_into(
         &self,
-        x: &FmapPyramid,
+        queries: &Tensor,
+        memory: &FmapPyramid,
         warp: Option<&SaliencyWarp>,
         out: &mut LayerOutput,
     ) -> Result<(), ModelError> {
-        self.attention_probs_into(x, &mut out.probs)?;
-        let q = x.tensor();
-        with_thread_scratch(|s| matmul_into(q, &self.weights.w_offset, &mut out.offsets, s))?;
+        self.attention_probs_into(queries, &mut out.probs)?;
+        with_thread_scratch(|s| matmul_into(queries, &self.weights.w_offset, &mut out.offsets, s))?;
         generate_locations_into(
             &self.cfg,
             &self.references,
@@ -428,7 +457,9 @@ impl MsdaLayer {
             warp,
             &mut out.locations,
         )?;
-        with_thread_scratch(|s| matmul_into(q, &self.weights.w_value, &mut out.value, s))?;
+        with_thread_scratch(|s| {
+            matmul_into(memory.tensor(), &self.weights.w_value, &mut out.value, s)
+        })?;
         self.sample_and_aggregate_into(
             &out.probs,
             &out.locations,
@@ -454,26 +485,28 @@ impl MsdaLayer {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::ShapeMismatch`] if the pyramid disagrees with
-    /// the configuration.
+    /// Returns [`ModelError::ShapeMismatch`] unless the pyramid has one
+    /// token per reference point and `D` channels.
     pub fn attention_probs(&self, x: &FmapPyramid) -> Result<((), Tensor), ModelError> {
         let mut probs = Tensor::zeros([0]);
-        self.attention_probs_into(x, &mut probs)?;
+        self.attention_probs_into(x.tensor(), &mut probs)?;
         Ok(((), probs))
     }
 
-    /// [`attention_probs`](Self::attention_probs) into a caller-provided
-    /// tensor, resized reusing its allocation and overwritten.
+    /// [`attention_probs`](Self::attention_probs) of `queries` (`[N_q,
+    /// D]`, one row per reference point) into a caller-provided tensor,
+    /// resized reusing its allocation and overwritten.
     ///
     /// # Errors
     ///
-    /// As [`attention_probs`](Self::attention_probs).
+    /// Returns [`ModelError::ShapeMismatch`] if `queries` is not `[N_q,
+    /// D]`.
     pub fn attention_probs_into(
         &self,
-        x: &FmapPyramid,
+        queries: &Tensor,
         probs: &mut Tensor,
     ) -> Result<(), ModelError> {
-        self.attention_logits_into(x, probs)?;
+        self.attention_logits_into(queries, probs)?;
         softmax_heads(probs, self.cfg.points_per_head())?;
         Ok(())
     }
@@ -486,35 +519,32 @@ impl MsdaLayer {
     ///
     /// # Errors
     ///
-    /// As [`attention_probs`](Self::attention_probs).
+    /// As [`attention_probs_into`](Self::attention_probs_into).
     pub fn attention_probs_thresholded_into(
         &self,
-        x: &FmapPyramid,
+        queries: &Tensor,
         threshold: f32,
         probs: &mut Tensor,
     ) -> Result<Thresholded, ModelError> {
-        self.attention_logits_into(x, probs)?;
+        self.attention_logits_into(queries, probs)?;
         Ok(softmax_heads_thresholded(probs, self.cfg.points_per_head(), threshold)?)
     }
 
-    /// Writes the attention logits `X·Wᴬ` to `logits`, after checking `x`
-    /// against the configuration.
+    /// Writes the attention logits `Q·Wᴬ` to `logits`, after checking that
+    /// `queries` has one `D`-wide row per reference point.
     fn attention_logits_into(
         &self,
-        x: &FmapPyramid,
+        queries: &Tensor,
         logits: &mut Tensor,
     ) -> Result<(), ModelError> {
-        let cfg = &self.cfg;
-        if x.n_in() != cfg.n_in() || x.d() != cfg.d_model {
+        let (n, d) = (self.references.len(), self.cfg.d_model);
+        if queries.shape().dims() != [n, d] {
             return Err(ModelError::ShapeMismatch(format!(
-                "pyramid [{} x {}] does not match config [{} x {}]",
-                x.n_in(),
-                x.d(),
-                cfg.n_in(),
-                cfg.d_model
+                "queries {} expected [{n}, {d}]",
+                queries.shape()
             )));
         }
-        with_thread_scratch(|s| matmul_into(x.tensor(), &self.weights.w_attn, logits, s))?;
+        with_thread_scratch(|s| matmul_into(queries, &self.weights.w_attn, logits, s))?;
         Ok(())
     }
 

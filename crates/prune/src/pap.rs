@@ -59,27 +59,29 @@ impl Default for PapConfig {
 ///
 /// # Errors
 ///
-/// Propagates a pyramid that disagrees with the layer's configuration.
+/// Propagates a pyramid that does not have one `D`-wide token per
+/// reference point of the layer.
 pub fn probs_and_mask(
     layer: &MsdaLayer,
     x: &FmapPyramid,
     cfg: PapConfig,
 ) -> Result<(Tensor, BitMask, f64), PruneError> {
     let mut probs = Tensor::zeros([0]);
-    let (mask, mass) = probs_and_mask_into(layer, x, cfg, &mut probs)?;
+    let (mask, mass) = probs_and_mask_into(layer, x.tensor(), cfg, &mut probs)?;
     Ok((probs, mask, mass))
 }
 
-/// [`probs_and_mask`] with the probabilities written to a caller-provided
+/// [`probs_and_mask`] for `layer`'s `queries` (`[N_q, D]`; `X` itself in
+/// the encoder) with the probabilities written to a caller-provided
 /// tensor, resized reusing its allocation and overwritten; returns the
 /// mask and the retained mass.
 pub(crate) fn probs_and_mask_into(
     layer: &MsdaLayer,
-    x: &FmapPyramid,
+    queries: &Tensor,
     cfg: PapConfig,
     probs: &mut Tensor,
 ) -> Result<(BitMask, f64), PruneError> {
-    let pap = layer.attention_probs_thresholded_into(x, cfg.threshold, probs)?;
+    let pap = layer.attention_probs_thresholded_into(queries, cfg.threshold, probs)?;
     let mass = if pap.total_mass == 0.0 { 1.0 } else { pap.kept_mass / pap.total_mass };
     Ok((BitMask::from_bools(pap.keep), mass))
 }

@@ -1,4 +1,4 @@
-//! The pruned-encoder pipeline: DEFA's dataflow at the algorithm level.
+//! The pruned pipeline: DEFA's dataflow at the algorithm level.
 //!
 //! §4.1 rearranges the MSDeformAttn operators so both pruning methods can
 //! act before the expensive work:
@@ -17,22 +17,28 @@
 //!
 //! This module reproduces that schedule functionally (bit-accurate masks and
 //! outputs); `defa-core` replays the same schedule on the cycle-level
-//! hardware model. Every block writes its intermediates into one set of
-//! layer buffers ([`defa_model::reference::with_layer_buffers`]), which
-//! the observer reads and the next block overwrites.
+//! hardware model. One per-block body runs it for queries, references and
+//! memory as separate inputs: the encoder's self-attention passes `Q = X`
+//! ([`run_pruned_encoder_visited_from`]), the decoder's cross-attention its
+//! object queries over the fixed encoder memory
+//! ([`run_pruned_decoder_visited`]). Every block writes its intermediates
+//! into one set of layer buffers
+//! ([`defa_model::reference::with_layer_buffers`]), which the observer
+//! reads and the next block overwrites.
 
 use crate::fwp::{FwpConfig, SampleFrequency};
 use crate::pap::{probs_and_mask_into, PapConfig};
 use crate::range::RangeConfig;
 use crate::stats::ReductionStats;
 use crate::{BitMask, PruneError};
+use defa_model::decoder::DecoderWorkload;
 use defa_model::encoder::block_update;
 use defa_model::flops::BlockFlops;
 use defa_model::reference::{
     generate_kept_locations_into, with_layer_buffers, LayerOutput, Stage4Visitor,
 };
-use defa_model::workload::SyntheticWorkload;
-use defa_model::{FmapPyramid, MsdaConfig};
+use defa_model::workload::{SaliencyWarp, SyntheticWorkload};
+use defa_model::{FmapPyramid, MsdaConfig, MsdaLayer};
 use defa_tensor::matmul::{matmul_into, matmul_row_masked_into};
 use defa_tensor::scratch::with_thread_scratch;
 use defa_tensor::{QuantParams, Tensor};
@@ -176,13 +182,11 @@ where
     F: FnMut(usize, &LayerOutput, &BlockPruneInfo, &mut V),
 {
     let cfg: &MsdaConfig = wl.config();
-    let n = cfg.n_in();
-    let ppq = cfg.points_per_query();
-    let flops = BlockFlops::for_config(cfg);
     let half_extents = settings
         .range_narrowing
         .then(|| RangeConfig::paper_defaults(cfg).half_extents(cfg))
         .transpose()?;
+    let mut schedule = Schedule::new(cfg, settings, Some(wl.warp()), half_extents);
 
     let quant_layers = settings.quant_bits.map(|bits| wl.quantized_layers(bits)).transpose()?;
 
@@ -194,11 +198,7 @@ where
         None => None,
     };
 
-    let mut stats = ReductionStats::new();
     let mut blocks = Vec::with_capacity(cfg.n_layers);
-    // FWP mask produced by the previous block; block 0 keeps everything.
-    let mut next_fmap_mask = BitMask::keep_all(n);
-
     // Every block refills one set of layer buffers in place: this
     // thread's recycled ones inside a `recycle_layer_buffers` scope.
     with_layer_buffers(|out| {
@@ -208,80 +208,8 @@ where
                 None => wl.layer(k)?,
             };
             let cur = x.as_ref().unwrap_or(initial);
-
-            // Stage 1: probabilities and the PAP point mask, in one pass.
-            let (pmask, mass) = match settings.pap {
-                Some(pap) => probs_and_mask_into(layer, cur, pap, &mut out.probs)?,
-                None => {
-                    layer.attention_probs_into(cur, &mut out.probs)?;
-                    (BitMask::keep_all(n * ppq), 1.0)
-                }
-            };
-
-            // Stage 2+3: masked offsets, locations (warp + range clamp),
-            // masked value projection. The offset projection stays dense;
-            // locations are built for kept slots only, bit-identical to the
-            // all-slot `generate_locations` + `clamp_locations` there
-            // (pinned by the golden tests), and pruned slots stay zeroed.
-            with_thread_scratch(|s| {
-                matmul_into(cur.tensor(), &layer.weights().w_offset, &mut out.offsets, s)
-            })
-            .map_err(defa_model::ModelError::from)?;
-            let clamped = generate_kept_locations_into(
-                cfg,
-                layer.references(),
-                &out.offsets,
-                Some(wl.warp()),
-                pmask.as_bools(),
-                half_extents.as_deref(),
-                &mut out.locations,
-            )?;
-
-            let fmap_mask = std::mem::replace(&mut next_fmap_mask, BitMask::keep_all(n));
-            with_thread_scratch(|s| {
-                matmul_row_masked_into(
-                    cur.tensor(),
-                    &layer.weights().w_value,
-                    fmap_mask.as_bools(),
-                    &mut out.value,
-                    s,
-                )
-            })
-            .map_err(defa_model::ModelError::from)?;
-
-            // Stage 4: one walk over the surviving points builds each
-            // footprint once; the aggregation, FWP's frequency counting for
-            // the next block and the caller's visitor all read it.
-            let mut freq = settings.fwp.map(|_| SampleFrequency::new(cfg)).transpose()?;
-            layer.sample_and_aggregate_into(
-                &out.probs,
-                &out.locations,
-                &out.value,
-                Some(pmask.as_bools()),
-                &mut (freq.as_mut(), &mut *stage4),
-                &mut out.output,
-            )?;
-            if let (Some(fwp), Some(freq)) = (settings.fwp, &freq) {
-                next_fmap_mask = freq.fmap_mask(fwp)?;
-            }
-
-            stats.record_block(
-                &flops,
-                (n * ppq) as u64,
-                pmask.kept() as u64,
-                n as u64,
-                fmap_mask.kept() as u64,
-                k > 0 && settings.fwp.is_some(),
-                clamped,
-                mass,
-            );
-
-            let info = BlockPruneInfo {
-                point_mask: pmask,
-                fmap_mask,
-                clamped_points: clamped,
-                retained_mass: mass,
-            };
+            // Self-attention: the queries are the memory's own tokens.
+            let info = schedule.block(k, layer, cur.tensor(), cur, stage4, out)?;
             observe(k, out, &info, stage4);
             blocks.push(info);
 
@@ -297,7 +225,166 @@ where
     })?;
 
     let final_features = x.map_or_else(|| initial.tensor().clone(), FmapPyramid::into_tensor);
-    Ok(PrunedRun { final_features, stats, blocks })
+    Ok(PrunedRun { final_features, stats: schedule.stats, blocks })
+}
+
+/// Runs the decoder's cross-attention through the encoder's per-block
+/// schedule: each layer's object queries attend into the fixed encoder
+/// `memory`, PAP masks the layer's points and FWP the next layer's memory
+/// pixels, and both reach the features. `observe` and `stage4` work as in
+/// [`run_pruned_encoder_visited_from`]; `final_features` are the final
+/// query embeddings. The decoder has no saliency warp, and
+/// `settings.range_narrowing` and `settings.quant_bits` do not apply to it.
+///
+/// # Errors
+///
+/// Propagates model and mask errors, such as a `memory` that does not
+/// have the decoder's configured shape.
+pub fn run_pruned_decoder_visited<V, F>(
+    dec: &DecoderWorkload,
+    settings: &PruneSettings,
+    memory: &FmapPyramid,
+    stage4: &mut V,
+    mut observe: F,
+) -> Result<PrunedRun, PruneError>
+where
+    V: Stage4Visitor,
+    F: FnMut(usize, &LayerOutput, &BlockPruneInfo, &mut V),
+{
+    let mut schedule = Schedule::new(dec.config(), settings, None, None);
+    let mut blocks = Vec::with_capacity(dec.layers().len());
+    let mut q = dec.initial_queries().clone();
+    with_layer_buffers(|out| {
+        for (k, layer) in dec.layers().iter().enumerate() {
+            let info = schedule.block(k, layer, &q, memory, stage4, out)?;
+            observe(k, out, &info, stage4);
+            blocks.push(info);
+            q = block_update(&q, &out.output)?;
+        }
+        Ok::<_, PruneError>(())
+    })?;
+    Ok(PrunedRun { final_features: q, stats: schedule.stats, blocks })
+}
+
+/// The per-block schedule both drivers run, and what it carries from one
+/// block to the next: the FWP mask for the next block's value projection
+/// and the reduction statistics.
+struct Schedule<'a> {
+    settings: &'a PruneSettings,
+    /// The encoder's saliency warp; the decoder has none.
+    warp: Option<&'a SaliencyWarp>,
+    /// Per-level range-narrowing windows, when locations are clamped.
+    half_extents: Option<Vec<[u32; 2]>>,
+    /// FWP mask produced by the previous block; block 0 keeps everything.
+    fmap_mask: BitMask,
+    stats: ReductionStats,
+}
+
+impl<'a> Schedule<'a> {
+    fn new(
+        cfg: &MsdaConfig,
+        settings: &'a PruneSettings,
+        warp: Option<&'a SaliencyWarp>,
+        half_extents: Option<Vec<[u32; 2]>>,
+    ) -> Self {
+        Schedule {
+            settings,
+            warp,
+            half_extents,
+            fmap_mask: BitMask::keep_all(cfg.n_in()),
+            stats: ReductionStats::new(),
+        }
+    }
+
+    /// Runs block `k` into `out`: `layer`'s `queries` (one row per
+    /// reference point of the layer) attend into `memory`, and the block's
+    /// masks and counters are recorded and returned.
+    fn block<V: Stage4Visitor>(
+        &mut self,
+        k: usize,
+        layer: &MsdaLayer,
+        queries: &Tensor,
+        memory: &FmapPyramid,
+        stage4: &mut V,
+        out: &mut LayerOutput,
+    ) -> Result<BlockPruneInfo, PruneError> {
+        let cfg = layer.config();
+        let n = cfg.n_in();
+        let slots = layer.references().len() * cfg.points_per_query();
+
+        // Stage 1: probabilities and the PAP point mask, in one pass.
+        let (pmask, mass) = match self.settings.pap {
+            Some(pap) => probs_and_mask_into(layer, queries, pap, &mut out.probs)?,
+            None => {
+                layer.attention_probs_into(queries, &mut out.probs)?;
+                (BitMask::keep_all(slots), 1.0)
+            }
+        };
+
+        // Stage 2+3: masked offsets, locations (warp + range clamp),
+        // masked value projection. The offset projection stays dense;
+        // locations are built for kept slots only, bit-identical to the
+        // all-slot `generate_locations` + `clamp_locations` there
+        // (pinned by the golden tests), and pruned slots stay zeroed.
+        with_thread_scratch(|s| {
+            matmul_into(queries, &layer.weights().w_offset, &mut out.offsets, s)
+        })
+        .map_err(defa_model::ModelError::from)?;
+        let clamped = generate_kept_locations_into(
+            cfg,
+            layer.references(),
+            &out.offsets,
+            self.warp,
+            pmask.as_bools(),
+            self.half_extents.as_deref(),
+            &mut out.locations,
+        )?;
+
+        let fmap_mask = std::mem::replace(&mut self.fmap_mask, BitMask::keep_all(n));
+        with_thread_scratch(|s| {
+            matmul_row_masked_into(
+                memory.tensor(),
+                &layer.weights().w_value,
+                fmap_mask.as_bools(),
+                &mut out.value,
+                s,
+            )
+        })
+        .map_err(defa_model::ModelError::from)?;
+
+        // Stage 4: one walk over the surviving points builds each
+        // footprint once; the aggregation, FWP's frequency counting for
+        // the next block and the caller's visitor all read it.
+        let mut freq = self.settings.fwp.map(|_| SampleFrequency::new(cfg)).transpose()?;
+        layer.sample_and_aggregate_into(
+            &out.probs,
+            &out.locations,
+            &out.value,
+            Some(pmask.as_bools()),
+            &mut (freq.as_mut(), &mut *stage4),
+            &mut out.output,
+        )?;
+        if let (Some(fwp), Some(freq)) = (self.settings.fwp, &freq) {
+            self.fmap_mask = freq.fmap_mask(fwp)?;
+        }
+
+        self.stats.record_block(
+            &BlockFlops::for_config(cfg),
+            slots as u64,
+            pmask.kept() as u64,
+            n as u64,
+            fmap_mask.kept() as u64,
+            k > 0 && self.settings.fwp.is_some(),
+            clamped,
+            mass,
+        );
+        Ok(BlockPruneInfo {
+            point_mask: pmask,
+            fmap_mask,
+            clamped_points: clamped,
+            retained_mass: mass,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -419,6 +506,61 @@ mod tests {
         .unwrap();
         let err8 = q8.final_features.relative_l2_error(&exact.final_features).unwrap();
         assert!(err8 > err * 2.0, "INT8 {err8} vs INT12 {err}");
+    }
+
+    fn decoder() -> (DecoderWorkload, FmapPyramid) {
+        let wl = workload();
+        let shape = defa_model::decoder::DecoderConfig::tiny();
+        let dec = DecoderWorkload::generate(Benchmark::DeformableDetr, wl.config(), shape, 21);
+        (dec.unwrap(), wl.initial_fmap().clone())
+    }
+
+    /// PAP and FWP reach the decoder's features: each block's output is
+    /// the aggregation of its own intermediates under its point mask, not
+    /// the unmasked aggregation over every slot's location.
+    #[test]
+    fn pruned_decoder_blocks_aggregate_under_their_point_mask() {
+        use defa_model::reference::generate_locations;
+        let (dec, memory) = decoder();
+        let settings = PruneSettings::paper_defaults();
+        let mut fmap_kept = Vec::new();
+        let run =
+            run_pruned_decoder_visited(&dec, &settings, &memory, &mut (), |k, out, info, _| {
+                let (layer, keep) = (&dec.layers()[k], info.point_mask.as_bools());
+                assert!(info.point_mask.kept() < keep.len(), "block {k} prunes no point");
+                let masked =
+                    layer.sample_and_aggregate(&out.probs, &out.locations, &out.value, Some(keep));
+                assert_eq!(masked.unwrap(), out.output, "block {k}");
+                let all =
+                    generate_locations(layer.config(), layer.references(), &out.offsets, None);
+                let unmasked =
+                    layer.sample_and_aggregate(&out.probs, &all.unwrap(), &out.value, None);
+                assert!(
+                    unmasked.unwrap().relative_l2_error(&out.output).unwrap() > 1e-4,
+                    "block {k}"
+                );
+                fmap_kept.push(info.fmap_mask.kept());
+            })
+            .unwrap();
+        // Only block 1 runs under an FWP mask, and only it is counted.
+        let n = dec.config().n_in();
+        assert!(fmap_kept[0] == n && fmap_kept[1] < n, "{fmap_kept:?}");
+        let pixels = (run.stats.pixels_total, run.stats.pixels_kept);
+        assert_eq!(pixels, (n as u64, fmap_kept[1] as u64));
+    }
+
+    #[test]
+    fn disabled_decoder_matches_exact_decoder_bit_for_bit() {
+        let (dec, memory) = decoder();
+        let settings = PruneSettings::disabled();
+        let run = run_pruned_decoder_visited(&dec, &settings, &memory, &mut (), |_, _, _, _| {});
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&run.unwrap().final_features), bits(&dec.run(&memory).unwrap()));
+        let other = MsdaConfig::small();
+        let wrong = FmapPyramid::from_tensor(&other, Tensor::zeros([other.n_in(), other.d_model]));
+        let run =
+            run_pruned_decoder_visited(&dec, &settings, &wrong.unwrap(), &mut (), |_, _, _, _| {});
+        assert!(run.is_err(), "memory of another shape");
     }
 
     #[test]

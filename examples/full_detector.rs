@@ -4,7 +4,7 @@
 //! the paper's encoder-only evaluation.
 //!
 //! ```sh
-//! cargo run --release -p defa-core --example full_detector
+//! cargo run --release --example full_detector
 //! ```
 
 use defa_core::runner::DefaAccelerator;

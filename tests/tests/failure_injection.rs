@@ -3,7 +3,7 @@
 
 use defa_core::runner::DefaAccelerator;
 use defa_core::{MsgsEngine, MsgsSettings};
-use defa_model::decoder::{CrossMsdaLayer, DecoderConfig};
+use defa_model::decoder::DecoderConfig;
 use defa_model::reference::{MsdaLayer, MsdaWeights};
 use defa_model::workload::{Benchmark, SyntheticWorkload};
 use defa_model::{FmapPyramid, LevelShape, MsdaConfig};
@@ -78,7 +78,7 @@ fn cross_layer_rejects_empty_references() {
     let cfg = MsdaConfig::tiny();
     let wl = SyntheticWorkload::generate(Benchmark::DeformableDetr, &cfg, 1).unwrap();
     let w = wl.layer(0).unwrap().weights().clone();
-    assert!(CrossMsdaLayer::new(cfg, w, vec![]).is_err());
+    assert!(MsdaLayer::with_references(cfg, w, vec![]).is_err());
 }
 
 #[test]
@@ -122,5 +122,7 @@ fn zero_sized_pyramid_tensor_is_rejected() {
 #[test]
 fn decoder_with_zero_layers_is_invalid() {
     let dec = DecoderConfig { n_queries: 4, n_layers: 0 };
+    assert!(dec.validate().is_err());
+    let dec = DecoderConfig { n_queries: 0, n_layers: 4 };
     assert!(dec.validate().is_err());
 }
